@@ -138,12 +138,12 @@ fn grm_from_z_parallel(z: &Matrix, params: &GrmParams) -> Matrix {
     let threads = params.threads.max(1);
     // Each worker produces complete rows i for its stripe (j >= i), which
     // are mirrored in a single pass afterwards.
-    let rows: Vec<Vec<f32>> = crossbeam::thread::scope(|scope| {
+    let rows: Vec<Vec<f32>> = std::thread::scope(|scope| {
         let chunk = n.div_ceil(threads);
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let z = &z;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let lo = (t * chunk).min(n);
                     let hi = ((t + 1) * chunk).min(n);
                     let mut out = Vec::with_capacity(hi - lo);
@@ -168,8 +168,7 @@ fn grm_from_z_parallel(z: &Matrix, params: &GrmParams) -> Matrix {
             .into_iter()
             .flat_map(|h| h.join().expect("grm worker panicked"))
             .collect()
-    })
-    .expect("crossbeam scope");
+    });
     let mut g = Matrix::zeros(n, n);
     for (i, row) in rows.iter().enumerate() {
         for j in i..n {

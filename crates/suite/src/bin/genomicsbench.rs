@@ -36,7 +36,7 @@ use gb_substrate::SubstrateCache;
 use gb_suite::dataset::DatasetSize;
 use gb_suite::kernels::{
     prepare_cached, run_parallel, run_parallel_instrumented, total_work, warm_substrates,
-    Characterization, DpEngine, KernelId, RunStats, WarmOutcome,
+    Characterization, DpEngine, KernelId, PrepareStats, RunStats,
 };
 use gb_suite::reports::{self, Report};
 use std::path::Path;
@@ -58,7 +58,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             ExitCode::from(2)
         }
     }
@@ -72,6 +72,7 @@ enum Outcome {
     Regressed,
 }
 
+/// The usage text; [`usage`] fills in `{dp-kernels}`.
 const USAGE: &str = "usage:
   genomicsbench list
   genomicsbench run [kernels|all] [--tier T] [--threads N] [--dp-engine E]
@@ -103,7 +104,7 @@ const USAGE: &str = "usage:
       compares the fresh manifest against a saved one and exits 1 on
       regression. --uarch adds simulated hardware counters to the metrics.
     --dp-engine picks the execution engine of the DP-motif kernels —
-      bsw, phmm, spoa, abea: 'simd' (default; i16 SoA lockstep bsw, i16
+      {dp-kernels}: 'simd' (default; i16 SoA lockstep bsw, i16
       row-sweep spoa, wavefront f32 phmm, contiguous-band f32 abea) or
       'scalar' (paper-faithful kernels). Results are bit-identical
       either way.
@@ -146,6 +147,17 @@ const USAGE: &str = "usage:
       (schema >= 1.4, informational -- never gated on).
     'run' also accepts a comma-separated kernel list, e.g. run bsw,phmm.
     Each subcommand rejects options it does not use.";
+
+/// [`USAGE`] with the `--dp-engine` roster read off the registry: the
+/// engine-aware kernels, in `KernelId::ALL` order.
+fn usage() -> String {
+    let roster: Vec<&str> = KernelId::ALL
+        .iter()
+        .filter(|id| id.spec().meta.engine_aware)
+        .map(|id| id.name())
+        .collect();
+    USAGE.replace("{dp-kernels}", &roster.join(", "))
+}
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Opt {
@@ -285,7 +297,17 @@ fn parse_options(cmd: &str, args: &[String], allowed: &[Opt]) -> Result<Options,
             .ok_or_else(|| format!("{} needs a value", opt.flag()))?;
         match opt {
             Opt::Tier => opts.size = Some(v.parse()?),
-            Opt::Threads => opts.threads = Some(v.parse::<usize>().map_err(|e| e.to_string())?),
+            Opt::Threads => {
+                let n: usize = v
+                    .parse()
+                    .map_err(|e: std::num::ParseIntError| e.to_string())?;
+                // The pool would clamp 0 to one worker while the manifest
+                // recorded `threads: 0`, and `trend` groups runs by it.
+                if n == 0 {
+                    return Err("--threads must be at least 1".into());
+                }
+                opts.threads = Some(n);
+            }
             Opt::DpEngine => opts.dp_engine = Some(v.parse()?),
             Opt::Json => opts.json = Some(v.clone()),
             Opt::Trace => opts.trace = Some(v.clone()),
@@ -425,6 +447,111 @@ fn kernel_record(
         prepare_wall_ns: None,
         cache_hit: None,
     }
+}
+
+/// Parses `run`'s comma-separated kernel list (`run bsw,phmm` lets CI
+/// gate just the DP kernels without a full-suite run). A repeated kernel
+/// is refused: the manifest keeps one record per kernel, so the second
+/// run would silently replace the first.
+fn parse_kernel_list(list: &str) -> Result<Vec<KernelId>, String> {
+    let mut ids = Vec::new();
+    for name in list.split(',') {
+        let id: KernelId = name.parse()?;
+        if ids.contains(&id) {
+            return Err(format!("kernel '{name}' is listed more than once"));
+        }
+        ids.push(id);
+    }
+    Ok(ids)
+}
+
+/// What [`measure_kernel`] hands back.
+struct Measured {
+    kernel: Box<dyn gb_suite::Kernel>,
+    stats: RunStats,
+    /// The manifest record, prepare attribution included; the stage tree
+    /// is the caller's to set.
+    record: KernelRecord,
+    /// The prepare attribution `record` carries, for the caller's stdout.
+    prepare: PrepareStats,
+}
+
+/// The measurement `run` and `profile` share: prepare `id` through
+/// `cache`, run its tasks inside a memory span, and fold the results
+/// into `registry` and a manifest record.
+///
+/// `warmed` is the kernel's share of a warm pre-pass, which already did
+/// (and timed) the heavy build or load; the prepare here is then a memo
+/// hit plus a cheap instantiate, so the record carries the summed wall
+/// and the pre-pass's cache outcome. With a `recorder` the tasks are
+/// traced and the engine-specific gauges (e.g. bsw dead-slot fractions
+/// before/after length sorting) are exported; bare timed runs skip the
+/// gauges, since gathering them replays the kernel.
+fn measure_kernel(
+    id: KernelId,
+    opts: &Options,
+    cache: &SubstrateCache,
+    warmed: Option<PrepareStats>,
+    recorder: Option<&TraceRecorder>,
+    registry: &mut MetricsRegistry,
+) -> Measured {
+    let span = mem::enabled().then(mem::MemSpan::enter);
+    let (kernel, mut prepare) = prepare_cached(id, opts.size(), opts.dp_engine(), cache);
+    if let Some(w) = warmed {
+        prepare = PrepareStats {
+            wall: w.wall + prepare.wall,
+            cache_hit: w.cache_hit,
+        };
+    }
+    let stats = match recorder {
+        Some(r) => run_parallel_instrumented(kernel.as_ref(), opts.threads(), r),
+        // mem-profile builds always take the instrumented path
+        // (NullRecorder: no tracing overhead) so the pool collects
+        // per-task heap attribution.
+        None if mem::enabled() => {
+            run_parallel_instrumented(kernel.as_ref(), opts.threads(), &NullRecorder)
+        }
+        None => run_parallel(kernel.as_ref(), opts.threads()),
+    };
+    let memory =
+        span.map(|s| s.exit_with_pool(stats.task_stats.as_ref().and_then(|ts| ts.memory.as_ref())));
+    if let Some(ts) = &stats.task_stats {
+        registry.record_task_stats(id.name(), ts);
+    }
+    if recorder.is_some() {
+        for (name, value) in kernel.export_gauges() {
+            registry.set_gauge(&name, value);
+        }
+    }
+    let mut record = kernel_record(id, kernel.as_ref(), &stats, memory, registry);
+    record.prepare_wall_ns = Some(prepare.wall.as_nanos() as u64);
+    record.cache_hit = Some(prepare.cache_hit);
+    Measured {
+        kernel,
+        stats,
+        record,
+        prepare,
+    }
+}
+
+/// Samples a uarch characterization of up to `budget` tasks into
+/// `registry` under the kernel's name.
+fn export_uarch(
+    id: KernelId,
+    kernel: &dyn gb_suite::Kernel,
+    budget: usize,
+    registry: &mut MetricsRegistry,
+) -> Characterization {
+    let c = gb_suite::kernels::characterize(kernel, budget);
+    gb_uarch::export::export_characterization(
+        registry,
+        id.name(),
+        &c.mix,
+        &c.cache,
+        &c.topdown,
+        c.bpki,
+    );
+    c
 }
 
 fn save_manifest(manifest: &RunManifest, path: &str) -> Result<(), String> {
@@ -854,12 +981,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             let ids: Vec<KernelId> = if which == "all" {
                 KernelId::ALL.to_vec()
             } else {
-                // Comma-separated kernel lists (`run bsw,phmm`) let CI
-                // gate just the DP kernels without a full-suite run.
-                which
-                    .split(',')
-                    .map(str::parse)
-                    .collect::<Result<Vec<_>, _>>()?
+                parse_kernel_list(which)?
             };
             let instrument = opts.trace.is_some()
                 || opts.metrics.is_some()
@@ -869,10 +991,9 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             // Warm pre-pass: build (or load) every requested substrate up
             // front, overlapping cold builds across the worker pool. The
             // per-kernel outcome feeds the manifest's prepare attribution.
-            let warm: std::collections::HashMap<KernelId, WarmOutcome> =
+            let warm: std::collections::HashMap<KernelId, PrepareStats> =
                 warm_substrates(&ids, opts.size(), &cache, opts.threads())
                     .into_iter()
-                    .map(|w| (w.id, w))
                     .collect();
             let recorder = instrument.then(TraceRecorder::new);
             let mut registry = MetricsRegistry::new();
@@ -895,57 +1016,23 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                 // Bookmark the shared trace stream so this kernel's
                 // spans can be sliced out afterwards for its stage tree.
                 let mark = recorder.as_ref().map(|r| r.event_count());
-                let span = mem::enabled().then(mem::MemSpan::enter);
-                let (kernel, pstats) = prepare_cached(id, opts.size(), opts.dp_engine(), &cache);
-                // The warm pre-pass already did (and timed) the heavy
-                // build or load; after it, `prepare_cached` is a memo hit
-                // plus a cheap instantiate. Attribute the true cost.
-                let (prepare_wall, cache_hit) = match warm.get(&id) {
-                    Some(w) => (w.wall + pstats.wall, w.cache_hit),
-                    None => (pstats.wall, pstats.cache_hit),
-                };
-                let stats = match &recorder {
-                    Some(r) => run_parallel_instrumented(kernel.as_ref(), opts.threads(), r),
-                    // mem-profile builds always take the instrumented
-                    // path (NullRecorder: no tracing overhead) so the
-                    // pool collects per-task heap attribution.
-                    None if mem::enabled() => {
-                        run_parallel_instrumented(kernel.as_ref(), opts.threads(), &NullRecorder)
-                    }
-                    None => run_parallel(kernel.as_ref(), opts.threads()),
-                };
-                let memory = span.map(|s| {
-                    s.exit_with_pool(stats.task_stats.as_ref().and_then(|ts| ts.memory.as_ref()))
-                });
-                if let Some(ts) = &stats.task_stats {
-                    registry.record_task_stats(id.name(), ts);
-                }
+                let Measured {
+                    kernel,
+                    stats,
+                    mut record,
+                    prepare,
+                } = measure_kernel(
+                    id,
+                    &opts,
+                    &cache,
+                    warm.get(&id).copied(),
+                    recorder.as_ref(),
+                    &mut registry,
+                );
                 if opts.uarch {
-                    let c: Characterization = gb_suite::kernels::characterize(
-                        kernel.as_ref(),
-                        reports::characterize_budget(id, opts.size()),
-                    );
-                    gb_uarch::export::export_characterization(
-                        &mut registry,
-                        id.name(),
-                        &c.mix,
-                        &c.cache,
-                        &c.topdown,
-                        c.bpki,
-                    );
+                    let budget = reports::characterize_budget(id, opts.size());
+                    export_uarch(id, kernel.as_ref(), budget, &mut registry);
                 }
-                if instrument {
-                    // Engine-specific gauges (e.g. bsw dead-slot fractions
-                    // before/after length sorting) ride into the metrics
-                    // dump and manifest; skipped on bare timed runs since
-                    // gathering them replays the kernel.
-                    for (name, value) in kernel.export_gauges() {
-                        registry.set_gauge(&name, value);
-                    }
-                }
-                let mut record = kernel_record(id, kernel.as_ref(), &stats, memory, &mut registry);
-                record.prepare_wall_ns = Some(prepare_wall.as_nanos() as u64);
-                record.cache_hit = Some(cache_hit);
                 if let (Some(r), Some(mark)) = (&recorder, mark) {
                     // Manifests carry the per-kernel stage tree (schema
                     // 1.3) so a later `compare` can attribute any
@@ -961,10 +1048,10 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                     format!("{:.3}s", stats.elapsed.as_secs_f64()),
                     stats.checksum & 0xFFFF_FFFF,
                     format_throughput(record.throughput_per_s, id.work_unit()),
-                    format_ns(prepare_wall.as_nanos() as u64),
+                    format_ns(prepare.wall.as_nanos() as u64),
                     if !cache.is_enabled() {
                         "off"
-                    } else if cache_hit {
+                    } else if prepare.cache_hit {
                         "hit"
                     } else {
                         "cold"
@@ -997,7 +1084,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
         "profile" => {
             let which = args.get(1).ok_or("profile needs a kernel name")?;
             let id: KernelId = which.parse()?;
-            let opts = parse_options(
+            let mut opts = parse_options(
                 cmd,
                 &args[2..],
                 &[
@@ -1015,15 +1102,16 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                     Opt::NoCache,
                 ],
             )?;
-            let threads = opts.threads.unwrap_or(2);
+            let threads = *opts.threads.get_or_insert(2);
             let cache = build_cache(&opts)?;
-            let span = mem::enabled().then(mem::MemSpan::enter);
-            let (kernel, pstats) = prepare_cached(id, opts.size(), opts.dp_engine(), &cache);
             let recorder = TraceRecorder::new();
-            let stats = run_parallel_instrumented(kernel.as_ref(), threads, &recorder);
-            let memory = span.map(|s| {
-                s.exit_with_pool(stats.task_stats.as_ref().and_then(|ts| ts.memory.as_ref()))
-            });
+            let mut registry = MetricsRegistry::new();
+            let Measured {
+                kernel,
+                stats,
+                mut record,
+                prepare: pstats,
+            } = measure_kernel(id, &opts, &cache, None, Some(&recorder), &mut registry);
             let task_stats = stats.task_stats.as_ref().expect("instrumented run");
             println!(
                 "profile {} ({} dataset, {} thread(s), {} dp engine): {} tasks in {:.3}s, checksum {:x}",
@@ -1036,7 +1124,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                 stats.checksum & 0xFFFF_FFFF
             );
             print_task_stats(task_stats);
-            if let Some(m) = &memory {
+            if let Some(m) = &record.memory {
                 println!(
                     "heap: peak {}  end {}  allocs {}  frees {}",
                     mem::format_bytes(m.peak_bytes),
@@ -1052,14 +1140,6 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                     );
                 }
             }
-            let mut registry = MetricsRegistry::new();
-            registry.record_task_stats(id.name(), task_stats);
-            for (name, value) in kernel.export_gauges() {
-                registry.set_gauge(&name, value);
-            }
-            let mut record = kernel_record(id, kernel.as_ref(), &stats, memory, &mut registry);
-            record.prepare_wall_ns = Some(pstats.wall.as_nanos() as u64);
-            record.cache_hit = Some(pstats.cache_hit);
             println!(
                 "throughput: {}",
                 format_throughput(record.throughput_per_s, id.work_unit())
@@ -1090,15 +1170,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                 let budget = opts
                     .uarch_budget
                     .unwrap_or_else(|| reports::characterize_budget(id, opts.size()));
-                let c: Characterization = gb_suite::kernels::characterize(kernel.as_ref(), budget);
-                gb_uarch::export::export_characterization(
-                    &mut registry,
-                    id.name(),
-                    &c.mix,
-                    &c.cache,
-                    &c.topdown,
-                    c.bpki,
-                );
+                let c = export_uarch(id, kernel.as_ref(), budget, &mut registry);
                 let note = gb_uarch::export::frame_annotation(&c.cache, &c.topdown, c.bpki);
                 println!("uarch sample ({} task(s)): {note}", c.tasks_sampled);
                 tree.annotate(&[id.name()], &note);
@@ -1107,7 +1179,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             record.set_stage_tree(&tree);
             if let Some(path) = &opts.flame {
                 write_flame(&tree, 1_000, path)?;
-                if let Some(m) = &memory {
+                if let Some(m) = &record.memory {
                     let mem_tree = StageTree::from_kernel_memory([(id.name(), m)]);
                     write_flame(&mem_tree, 1, &format!("{path}.mem"))?;
                 }
@@ -1121,7 +1193,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                     opts.dp_engine().name()
                 );
                 write_svg(&flamegraph_svg(&tree, &RenderConfig::wall(&subtitle)), path)?;
-                if let Some(m) = &memory {
+                if let Some(m) = &record.memory {
                     let mem_tree = StageTree::from_kernel_memory([(id.name(), m)]);
                     write_svg(
                         &flamegraph_svg(&mem_tree, &RenderConfig::memory(&subtitle)),

@@ -9,7 +9,7 @@
 //! parameters — with bit-identical scores, alignments and band walks,
 //! so the two engines produce the same run checksum.
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::seq::DnaSeq;
 use gb_datagen::genome::{Genome, GenomeConfig};
@@ -51,20 +51,25 @@ pub struct AbeaKernel {
     engine: DpEngine,
 }
 
-impl AbeaKernel {
-    /// Paper-faithful preparation: scalar engine.
-    pub fn prepare(size: DatasetSize) -> AbeaKernel {
-        AbeaKernel::prepare_with(size, DpEngine::Scalar)
-    }
+impl KernelSpec for AbeaKernel {
+    type Substrate = AbeaSubstrate;
 
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare_with(size: DatasetSize, engine: DpEngine) -> AbeaKernel {
-        AbeaKernel::instantiate(Arc::new(AbeaKernel::build_substrate(size)), engine)
-    }
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::Abea,
+        name: "abea",
+        source_tool: "Nanopolish/f5c",
+        pipeline: "de-novo assembly / polishing",
+        motif: "adaptive banded DP, floating point",
+        granularity: Some(("read", "# band cells")),
+        cpu: true,
+        work_unit: "cells",
+        mlp_hint: 4.0,
+        substrate_seed: seeds::GENOME ^ seeds::SIGNALS,
+        uarch_budget: 2,
+        engine_aware: true,
+    };
 
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. Cheap: no data is copied.
-    pub fn instantiate(sub: Arc<AbeaSubstrate>, engine: DpEngine) -> AbeaKernel {
+    fn instantiate(sub: Arc<AbeaSubstrate>, engine: DpEngine) -> AbeaKernel {
         AbeaKernel {
             sub,
             params: AbeaParams::default(),
@@ -76,7 +81,7 @@ impl AbeaKernel {
     /// varying length. The read set is identical for both engines; abea
     /// vectorizes *within* each band (anti-diagonal lanes), so the task
     /// shape is one read per task on either engine.
-    pub fn build_substrate(size: DatasetSize) -> AbeaSubstrate {
+    fn build_substrate(size: DatasetSize) -> AbeaSubstrate {
         let num_reads = match size {
             DatasetSize::Tiny => 5,
             DatasetSize::Small => 80,
@@ -103,7 +108,9 @@ impl AbeaKernel {
             .collect();
         AbeaSubstrate { reads, model }
     }
+}
 
+impl AbeaKernel {
     /// Runs the SIMT model over this workload (paper Tables IV–V).
     pub fn gpu_report(&self) -> GpuKernelReport {
         model_abea_gpu(
@@ -201,14 +208,14 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let k = AbeaKernel::prepare(DatasetSize::Tiny);
+        let k = AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert_eq!(run_serial(&k).checksum, run_parallel(&k, 4).checksum);
         assert!(run_serial(&k).checksum != 0);
     }
 
     #[test]
     fn gpu_report_is_low_occupancy() {
-        let k = AbeaKernel::prepare(DatasetSize::Tiny);
+        let k = AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let r = k.gpu_report();
         assert!(r.occupancy < 0.5);
         assert!(r.warp_efficiency < 1.0);
@@ -216,8 +223,8 @@ mod tests {
 
     #[test]
     fn engines_agree_on_checksum() {
-        let scalar = AbeaKernel::prepare_with(DatasetSize::Tiny, DpEngine::Scalar);
-        let simd = AbeaKernel::prepare_with(DatasetSize::Tiny, DpEngine::Simd);
+        let scalar = AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
+        let simd = AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
         assert_eq!(scalar.num_tasks(), simd.num_tasks());
         assert_eq!(
             run_serial(&scalar).checksum,
@@ -227,8 +234,8 @@ mod tests {
 
     #[test]
     fn engines_agree_on_total_work() {
-        let scalar = AbeaKernel::prepare_with(DatasetSize::Tiny, DpEngine::Scalar);
-        let simd = AbeaKernel::prepare_with(DatasetSize::Tiny, DpEngine::Simd);
+        let scalar = AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
+        let simd = AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
         assert_eq!(
             crate::kernels::total_work(&scalar),
             crate::kernels::total_work(&simd)
@@ -237,7 +244,7 @@ mod tests {
 
     #[test]
     fn simd_gauges_report_band_efficiency() {
-        let simd = AbeaKernel::prepare_with(DatasetSize::Tiny, DpEngine::Simd);
+        let simd = AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
         let gauges = simd.export_gauges();
         let get = |name: &str| {
             gauges
@@ -250,7 +257,7 @@ mod tests {
         assert!((0.0..1.0).contains(&dead), "dead slots {dead}");
         assert_eq!(get("abea.simd_retired_lanes"), 0.0);
         // Scalar engine exports nothing.
-        assert!(AbeaKernel::prepare(DatasetSize::Tiny)
+        assert!(AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar)
             .export_gauges()
             .is_empty());
     }

@@ -8,7 +8,7 @@
 //! struct-of-arrays engine (`gb_dp::bsw_simd`) — bit-identical results,
 //! so the two engines produce the same run checksum.
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_dp::bsw::{banded_sw, banded_sw_probed, run_batch, BatchReport, SwParams, SwTask};
@@ -55,30 +55,28 @@ pub struct BswKernel {
     groups: Vec<std::ops::Range<usize>>,
 }
 
-impl BswKernel {
-    /// Paper-faithful preparation: scalar engine, one pair per task.
-    pub fn prepare(size: DatasetSize) -> BswKernel {
-        BswKernel::prepare_with(size, DpEngine::Scalar)
-    }
+impl KernelSpec for BswKernel {
+    type Substrate = BswSubstrate;
 
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare_with(size: DatasetSize, engine: DpEngine) -> BswKernel {
-        BswKernel::instantiate(Arc::new(BswKernel::build_substrate(size)), engine)
-    }
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::Bsw,
+        name: "bsw",
+        source_tool: "BWA-MEM2",
+        pipeline: "reference-guided assembly",
+        motif: "2-D banded DP, integer",
+        granularity: Some(("seed (sequence pair)", "# cell updates")),
+        cpu: true,
+        work_unit: "cells",
+        mlp_hint: 4.0,
+        substrate_seed: seeds::GENOME ^ (seeds::SHORT_READS ^ 0xB5),
+        uarch_budget: 60,
+        engine_aware: true,
+    };
 
-    /// The pairs task `i` executes, in this engine's task order.
-    fn tasks(&self) -> &[SwTask] {
-        match self.engine {
-            DpEngine::Scalar => &self.sub.tasks,
-            DpEngine::Simd => &self.sorted,
-        }
-    }
-
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. The SIMD engine length-sorts a copy of the pairs
-    /// into contiguous lockstep groups here — per-run work, deliberately
-    /// outside the substrate so one cache entry serves both engines.
-    pub fn instantiate(sub: Arc<BswSubstrate>, engine: DpEngine) -> BswKernel {
+    /// The SIMD engine length-sorts a copy of the pairs into contiguous
+    /// lockstep groups here — per-run work, deliberately outside the
+    /// substrate so one cache entry serves both engines.
+    fn instantiate(sub: Arc<BswSubstrate>, engine: DpEngine) -> BswKernel {
         let mut sorted = Vec::new();
         let mut groups = Vec::new();
         if engine == DpEngine::Simd {
@@ -109,7 +107,7 @@ impl BswKernel {
     /// trigger the Z-drop early exit — the paper's divergence source).
     /// The pair set is identical for both engines; only the task shape
     /// differs.
-    pub fn build_substrate(size: DatasetSize) -> BswSubstrate {
+    fn build_substrate(size: DatasetSize) -> BswSubstrate {
         let num_pairs = match size {
             DatasetSize::Tiny => 100,
             DatasetSize::Small => 2_000,
@@ -152,6 +150,16 @@ impl BswKernel {
             tasks.push(SwTask { query, target });
         }
         BswSubstrate { tasks }
+    }
+}
+
+impl BswKernel {
+    /// The pairs task `i` executes, in this engine's task order.
+    fn tasks(&self) -> &[SwTask] {
+        match self.engine {
+            DpEngine::Scalar => &self.sub.tasks,
+            DpEngine::Simd => &self.sorted,
+        }
     }
 
     /// Runs the inter-sequence SIMD batch model (Fig. 3): `lanes`-wide
@@ -275,20 +283,20 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let k = BswKernel::prepare(DatasetSize::Tiny);
+        let k = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert_eq!(run_serial(&k).checksum, run_parallel(&k, 4).checksum);
     }
 
     #[test]
     fn work_is_imbalanced() {
-        let k = BswKernel::prepare(DatasetSize::Tiny);
+        let k = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let d = work_distribution(&k);
         assert!(d.imbalance > 1.5, "imbalance {}", d.imbalance);
     }
 
     #[test]
     fn batch_overcomputes_and_sorting_helps() {
-        let k = BswKernel::prepare(DatasetSize::Tiny);
+        let k = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let unsorted = k.batch_report(16, false);
         let sorted = k.batch_report(16, true);
         assert!(
@@ -304,8 +312,8 @@ mod tests {
         // The SIMD engine is bit-identical per alignment and the pool
         // checksum is order-insensitive, so the run checksums match even
         // though the SIMD engine groups 16 pairs per task.
-        let scalar = BswKernel::prepare_with(DatasetSize::Tiny, DpEngine::Scalar);
-        let simd = BswKernel::prepare_with(DatasetSize::Tiny, DpEngine::Simd);
+        let scalar = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
+        let simd = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
         assert_eq!(scalar.num_tasks(), 100);
         assert_eq!(simd.num_tasks(), 100usize.div_ceil(LANES));
         assert_eq!(
@@ -316,8 +324,8 @@ mod tests {
 
     #[test]
     fn engines_agree_on_total_work() {
-        let scalar = BswKernel::prepare_with(DatasetSize::Tiny, DpEngine::Scalar);
-        let simd = BswKernel::prepare_with(DatasetSize::Tiny, DpEngine::Simd);
+        let scalar = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
+        let simd = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
         assert_eq!(
             crate::kernels::total_work(&scalar),
             crate::kernels::total_work(&simd)
@@ -326,7 +334,7 @@ mod tests {
 
     #[test]
     fn simd_gauges_show_sorting_gain() {
-        let simd = BswKernel::prepare_with(DatasetSize::Tiny, DpEngine::Simd);
+        let simd = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
         let gauges = simd.export_gauges();
         let get = |name: &str| {
             gauges
@@ -340,7 +348,7 @@ mod tests {
         assert!(unsorted > 0.0, "unsorted dead slots {unsorted}");
         assert!(sorted < unsorted, "sorted {sorted} vs unsorted {unsorted}");
         // Scalar engine exports nothing.
-        assert!(BswKernel::prepare(DatasetSize::Tiny)
+        assert!(BswKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar)
             .export_gauges()
             .is_empty());
     }

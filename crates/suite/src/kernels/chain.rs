@@ -1,9 +1,10 @@
 //! The **chain** kernel: minimap2 anchor chaining (paper §III).
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_datagen::anchors::{synthetic_anchor_sets, AnchorSet, AnchorSimConfig};
 use gb_dp::chain::{chain_anchors, chain_anchors_probed, ChainParams};
+use gb_dp::DpEngine;
 use gb_uarch::cache::CacheProbe;
 use std::sync::Arc;
 
@@ -31,15 +32,25 @@ pub struct ChainKernel {
     params: ChainParams,
 }
 
-impl ChainKernel {
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare(size: DatasetSize) -> ChainKernel {
-        ChainKernel::instantiate(Arc::new(ChainKernel::build_substrate(size)))
-    }
+impl KernelSpec for ChainKernel {
+    type Substrate = ChainSubstrate;
 
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. Cheap: no data is copied.
-    pub fn instantiate(sub: Arc<ChainSubstrate>) -> ChainKernel {
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::Chain,
+        name: "chain",
+        source_tool: "Minimap2",
+        pipeline: "de-novo assembly / polishing",
+        motif: "1-D DP, bounded predecessor scan",
+        granularity: Some(("read pair", "# input anchors")),
+        cpu: true,
+        work_unit: "anchors",
+        mlp_hint: 4.0,
+        substrate_seed: seeds::ANCHORS,
+        uarch_budget: 20,
+        engine_aware: false,
+    };
+
+    fn instantiate(sub: Arc<ChainSubstrate>, _engine: DpEngine) -> ChainKernel {
         ChainKernel {
             sub,
             params: ChainParams::default(),
@@ -48,7 +59,7 @@ impl ChainKernel {
 
     /// Synthesizes overlap tasks with long-tailed anchor counts (the
     /// paper's PacBio *C. elegans* all-vs-all workload shape).
-    pub fn build_substrate(size: DatasetSize) -> ChainSubstrate {
+    fn build_substrate(size: DatasetSize) -> ChainSubstrate {
         let num_pairs = match size {
             DatasetSize::Tiny => 20,
             DatasetSize::Small => 1_000,
@@ -108,13 +119,13 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let k = ChainKernel::prepare(DatasetSize::Tiny);
+        let k = ChainKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert_eq!(run_serial(&k).checksum, run_parallel(&k, 4).checksum);
     }
 
     #[test]
     fn anchor_counts_are_long_tailed() {
-        let k = ChainKernel::prepare(DatasetSize::Tiny);
+        let k = ChainKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let d = work_distribution(&k);
         assert!(d.imbalance > 1.5, "imbalance {}", d.imbalance);
     }

@@ -1,12 +1,13 @@
 //! The **dbg** kernel: De-Bruijn re-assembly of variant-calling regions
 //! (paper §III, from Platypus).
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_assembly::dbg::{assemble_region, assemble_region_probed, DbgParams};
 use gb_core::region::RegionTask;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::regions::{build_region_tasks, RegionSimConfig};
+use gb_dp::DpEngine;
 use gb_uarch::cache::CacheProbe;
 use std::sync::Arc;
 
@@ -35,15 +36,25 @@ pub struct DbgKernel {
     params: DbgParams,
 }
 
-impl DbgKernel {
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare(size: DatasetSize) -> DbgKernel {
-        DbgKernel::instantiate(Arc::new(DbgKernel::build_substrate(size)))
-    }
+impl KernelSpec for DbgKernel {
+    type Substrate = DbgSubstrate;
 
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. Cheap: no data is copied.
-    pub fn instantiate(sub: Arc<DbgSubstrate>) -> DbgKernel {
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::Dbg,
+        name: "dbg",
+        source_tool: "Platypus",
+        pipeline: "reference-guided assembly",
+        motif: "graph construction + hash table",
+        granularity: Some(("genome region", "# hash table lookups")),
+        cpu: true,
+        work_unit: "hash_lookups",
+        mlp_hint: 4.0,
+        substrate_seed: seeds::GENOME ^ seeds::REGIONS,
+        uarch_budget: 20,
+        engine_aware: false,
+    };
+
+    fn instantiate(sub: Arc<DbgSubstrate>, _engine: DpEngine) -> DbgKernel {
         DbgKernel {
             sub,
             params: DbgParams::default(),
@@ -52,7 +63,7 @@ impl DbgKernel {
 
     /// Simulates a diploid short-read sample over a reference and buckets
     /// it into 500-base re-assembly windows.
-    pub fn build_substrate(size: DatasetSize) -> DbgSubstrate {
+    fn build_substrate(size: DatasetSize) -> DbgSubstrate {
         let genome_len = match size {
             DatasetSize::Tiny => 20_000,
             DatasetSize::Small => 200_000,
@@ -112,14 +123,14 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let k = DbgKernel::prepare(DatasetSize::Tiny);
+        let k = DbgKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert_eq!(run_serial(&k).checksum, run_parallel(&k, 4).checksum);
         assert_eq!(k.num_tasks(), 40); // 20 kb / 500 b windows
     }
 
     #[test]
     fn some_region_produces_alternate_haplotypes() {
-        let k = DbgKernel::prepare(DatasetSize::Tiny);
+        let k = DbgKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let with_alts = (0..k.num_tasks())
             .filter(|&i| assemble_region(&k.sub.tasks[i], &k.params).haplotypes.len() > 1)
             .count();

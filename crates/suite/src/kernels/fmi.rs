@@ -1,11 +1,12 @@
 //! The **fmi** kernel: SMEM search over an FM-index (paper §III, from
 //! BWA-MEM2).
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::seq::DnaSeq;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::reads::{simulate_reads, ReadSimConfig};
+use gb_dp::DpEngine;
 use gb_fmi::bidir::BiIndex;
 use gb_fmi::smem::{collect_smems, collect_smems_probed, SmemConfig};
 use gb_uarch::cache::CacheProbe;
@@ -41,15 +42,25 @@ pub struct FmiKernel {
     config: SmemConfig,
 }
 
-impl FmiKernel {
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare(size: DatasetSize) -> FmiKernel {
-        FmiKernel::instantiate(Arc::new(FmiKernel::build_substrate(size)))
-    }
+impl KernelSpec for FmiKernel {
+    type Substrate = FmiSubstrate;
 
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. Cheap: no data is copied.
-    pub fn instantiate(sub: Arc<FmiSubstrate>) -> FmiKernel {
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::Fmi,
+        name: "fmi",
+        source_tool: "BWA-MEM2",
+        pipeline: "reference-guided assembly",
+        motif: "index lookup (irregular memory)",
+        granularity: Some(("read", "# Occ table lookups")),
+        cpu: true,
+        work_unit: "occ_lookups",
+        mlp_hint: 1.6,
+        substrate_seed: seeds::GENOME ^ seeds::SHORT_READS,
+        uarch_budget: 60,
+        engine_aware: false,
+    };
+
+    fn instantiate(sub: Arc<FmiSubstrate>, _engine: DpEngine) -> FmiKernel {
         FmiKernel {
             sub,
             config: SmemConfig::default(),
@@ -61,7 +72,7 @@ impl FmiKernel {
     /// The reference is sized so the index working set exceeds the
     /// modelled LLC (as the paper's ~10 GB human FM-index dwarfs an 8 MB
     /// LLC), which is what makes the kernel memory-bound.
-    pub fn build_substrate(size: DatasetSize) -> FmiSubstrate {
+    fn build_substrate(size: DatasetSize) -> FmiSubstrate {
         let (genome_len, num_reads) = match size {
             DatasetSize::Tiny => (100_000, 50),
             DatasetSize::Small => (8_000_000, 2_000),
@@ -85,7 +96,9 @@ impl FmiKernel {
         let index = BiIndex::build(&genome.concat());
         FmiSubstrate { index, reads }
     }
+}
 
+impl FmiKernel {
     /// The index heap footprint in bytes.
     pub fn index_bytes(&self) -> usize {
         self.sub.index.heap_bytes()
@@ -150,7 +163,7 @@ mod tests {
 
     #[test]
     fn tiny_runs_and_is_deterministic() {
-        let k = FmiKernel::prepare(DatasetSize::Tiny);
+        let k = FmiKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let a = run_serial(&k);
         let b = run_parallel(&k, 4);
         assert_eq!(a.checksum, b.checksum);
@@ -160,7 +173,7 @@ mod tests {
 
     #[test]
     fn task_work_is_positive() {
-        let k = FmiKernel::prepare(DatasetSize::Tiny);
+        let k = FmiKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert!(k.task_work(0) > 100, "a 151-bp read needs many occ lookups");
     }
 }

@@ -1,10 +1,11 @@
 //! The **grm** kernel: genomic relationship matrix (paper §III, from
 //! PLINK2).
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::matrix::Matrix;
 use gb_datagen::genotypes::GenotypeMatrix;
+use gb_dp::DpEngine;
 use gb_popgen::grm::{grm_from_z_probed, standardize};
 use gb_uarch::cache::CacheProbe;
 use gb_uarch::probe::{NullProbe, Probe};
@@ -37,21 +38,31 @@ pub struct GrmKernel {
     sub: Arc<GrmSubstrate>,
 }
 
-impl GrmKernel {
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare(size: DatasetSize) -> GrmKernel {
-        GrmKernel::instantiate(Arc::new(GrmKernel::build_substrate(size)))
-    }
+impl KernelSpec for GrmKernel {
+    type Substrate = GrmSubstrate;
 
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. Cheap: no data is copied.
-    pub fn instantiate(sub: Arc<GrmSubstrate>) -> GrmKernel {
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::Grm,
+        name: "grm",
+        source_tool: "PLINK2",
+        pipeline: "population genomics",
+        motif: "dense matrix multiplication",
+        granularity: None,
+        cpu: true,
+        work_unit: "mac_ops",
+        mlp_hint: 4.0,
+        substrate_seed: seeds::GENOTYPES,
+        uarch_budget: 2,
+        engine_aware: false,
+    };
+
+    fn instantiate(sub: Arc<GrmSubstrate>, _engine: DpEngine) -> GrmKernel {
         GrmKernel { sub }
     }
 
     /// Generates the genotype matrix and standardizes it once (as PLINK
     /// does before the product).
-    pub fn build_substrate(size: DatasetSize) -> GrmSubstrate {
+    fn build_substrate(size: DatasetSize) -> GrmSubstrate {
         let (individuals, markers) = match size {
             DatasetSize::Tiny => (64, 500),
             DatasetSize::Small => (512, 4_000),
@@ -62,7 +73,9 @@ impl GrmKernel {
             z: standardize(&geno),
         }
     }
+}
 
+impl GrmKernel {
     fn stripe_product(&self, stripe: usize, probe: &mut CacheProbe) -> u64 {
         // Blocked loop order (j outer, stripe rows inner): each zj row is
         // streamed from memory once per stripe and reused from L1 across
@@ -169,14 +182,14 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let k = GrmKernel::prepare(DatasetSize::Tiny);
+        let k = GrmKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert_eq!(run_serial(&k).checksum, run_parallel(&k, 4).checksum);
         assert_eq!(k.num_tasks(), 4);
     }
 
     #[test]
     fn stripes_cover_the_full_product() {
-        let k = GrmKernel::prepare(DatasetSize::Tiny);
+        let k = GrmKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let g = k.full_grm();
         // Sum of stripe checksums must reflect every (i, j>=i) pair: the
         // stripe work adds up to the upper triangle.

@@ -1,12 +1,13 @@
 //! The **kmer-cnt** kernel: canonical k-mer counting (paper §III, from
 //! Flye).
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_assembly::kmer_count::{count_kmers, count_kmers_probed, KmerCountParams};
 use gb_core::seq::DnaSeq;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::reads::{simulate_reads, ReadSimConfig};
+use gb_dp::DpEngine;
 use gb_uarch::cache::CacheProbe;
 use std::sync::Arc;
 
@@ -38,15 +39,25 @@ pub struct KmerCntKernel {
     params: KmerCountParams,
 }
 
-impl KmerCntKernel {
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare(size: DatasetSize) -> KmerCntKernel {
-        KmerCntKernel::instantiate(Arc::new(KmerCntKernel::build_substrate(size)))
-    }
+impl KernelSpec for KmerCntKernel {
+    type Substrate = KmerCntSubstrate;
 
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. Cheap: no data is copied.
-    pub fn instantiate(sub: Arc<KmerCntSubstrate>) -> KmerCntKernel {
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::KmerCnt,
+        name: "kmer-cnt",
+        source_tool: "Flye",
+        pipeline: "de-novo assembly / polishing",
+        motif: "hash-table update (irregular memory)",
+        granularity: None,
+        cpu: true,
+        work_unit: "kmers",
+        mlp_hint: 2.5,
+        substrate_seed: seeds::GENOME ^ seeds::LONG_READS,
+        uarch_budget: 1,
+        engine_aware: false,
+    };
+
+    fn instantiate(sub: Arc<KmerCntSubstrate>, _engine: DpEngine) -> KmerCntKernel {
         KmerCntKernel {
             sub,
             params: KmerCountParams::default(),
@@ -54,7 +65,7 @@ impl KmerCntKernel {
     }
 
     /// Simulates a long-read set and splits it into per-task shards.
-    pub fn build_substrate(size: DatasetSize) -> KmerCntSubstrate {
+    fn build_substrate(size: DatasetSize) -> KmerCntSubstrate {
         let (total_bases, shard_bases) = match size {
             DatasetSize::Tiny => (400_000usize, 200_000usize),
             DatasetSize::Small => (16_000_000, 2_000_000),
@@ -88,7 +99,9 @@ impl KmerCntKernel {
         }
         KmerCntSubstrate { shards }
     }
+}
 
+impl KmerCntKernel {
     /// The counting parameters (exposed for the ablation benches).
     pub fn params(&self) -> &KmerCountParams {
         &self.params
@@ -143,7 +156,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let k = KmerCntKernel::prepare(DatasetSize::Tiny);
+        let k = KmerCntKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert_eq!(run_serial(&k).checksum, run_parallel(&k, 4).checksum);
         assert_eq!(k.num_tasks(), 2);
     }
@@ -151,7 +164,7 @@ mod tests {
     #[test]
     fn shard_tables_exceed_llc_at_small() {
         // The characterization depends on the table busting the 8 MB LLC.
-        let k = KmerCntKernel::prepare(DatasetSize::Small);
+        let k = KmerCntKernel::prepare(DatasetSize::Small, DpEngine::Scalar);
         let (table, _) = count_kmers(&k.sub.shards[0], &k.params);
         assert!(
             table.heap_bytes() > 8 << 20,

@@ -1,11 +1,15 @@
 //! The twelve GenomicsBench kernels behind one interface.
 //!
-//! Every kernel prepares its dataset once ([`prepare`]) and then exposes
-//! independent *tasks* — the unit of data parallelism from the paper's
-//! Table III (reads, genome regions, read-pair anchor sets, consensus
-//! windows, …). Generic runners execute the tasks serially, with dynamic
-//! scheduling across threads (Fig. 7), or instrumented through the cache
-//! simulator (Figs. 5/6/8/9).
+//! Each kernel is described once, by the [`KernelSpec`] in its own file
+//! (the paper's Tables I–III row as [`KernelMeta`], the cacheable
+//! substrate build, the per-run instantiate); [`KernelId::spec`] is the
+//! registry over them. Every kernel prepares its dataset once
+//! ([`prepare`], [`prepare_cached`]) and then exposes independent *tasks*
+//! — the unit of data parallelism from the paper's Table III (reads,
+//! genome regions, read-pair anchor sets, consensus windows, …). Generic
+//! runners execute the tasks serially, with dynamic scheduling across
+//! threads (Fig. 7), or instrumented through the cache simulator
+//! (Figs. 5/6/8/9).
 
 pub mod abea;
 pub mod bsw;
@@ -29,7 +33,8 @@ use gb_uarch::cache::CacheProbe;
 use gb_uarch::mix::InstructionMix;
 use gb_uarch::topdown::{CoreModel, TopDownReport};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Identifier of one suite kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -68,129 +73,72 @@ impl KernelId {
         KernelId::NnVariant,
     ];
 
+    /// The kernel's registry entry: its [`KernelMeta`] row and the
+    /// prepare and warm paths monomorphised for its [`KernelSpec`]. The
+    /// one place a `KernelId` is matched on — adding a kernel is a file
+    /// implementing `KernelSpec` plus one arm here.
+    pub fn spec(self) -> &'static KernelEntry {
+        match self {
+            KernelId::Fmi => &fmi::FmiKernel::ENTRY,
+            KernelId::Bsw => &bsw::BswKernel::ENTRY,
+            KernelId::Dbg => &dbg::DbgKernel::ENTRY,
+            KernelId::Phmm => &phmm::PhmmKernel::ENTRY,
+            KernelId::Chain => &chain::ChainKernel::ENTRY,
+            KernelId::Spoa => &spoa::SpoaKernel::ENTRY,
+            KernelId::Abea => &abea::AbeaKernel::ENTRY,
+            KernelId::KmerCnt => &kmercnt::KmerCntKernel::ENTRY,
+            KernelId::Grm => &grm::GrmKernel::ENTRY,
+            KernelId::Pileup => &pileup::PileupKernel::ENTRY,
+            KernelId::NnBase => &nnbase::NnBaseKernel::ENTRY,
+            KernelId::NnVariant => &nnvariant::NnVariantKernel::ENTRY,
+        }
+    }
+
     /// The paper's short name for the kernel.
     pub fn name(&self) -> &'static str {
-        match self {
-            KernelId::Fmi => "fmi",
-            KernelId::Bsw => "bsw",
-            KernelId::Dbg => "dbg",
-            KernelId::Phmm => "phmm",
-            KernelId::Chain => "chain",
-            KernelId::Spoa => "spoa",
-            KernelId::Abea => "abea",
-            KernelId::KmerCnt => "kmer-cnt",
-            KernelId::Grm => "grm",
-            KernelId::Pileup => "pileup",
-            KernelId::NnBase => "nn-base",
-            KernelId::NnVariant => "nn-variant",
-        }
+        self.spec().meta.name
     }
 
     /// The tool the kernel was extracted from (paper §III).
     pub fn source_tool(&self) -> &'static str {
-        match self {
-            KernelId::Fmi => "BWA-MEM2",
-            KernelId::Bsw => "BWA-MEM2",
-            KernelId::Dbg => "Platypus",
-            KernelId::Phmm => "GATK HaplotypeCaller",
-            KernelId::Chain => "Minimap2",
-            KernelId::Spoa => "Racon",
-            KernelId::Abea => "Nanopolish/f5c",
-            KernelId::KmerCnt => "Flye",
-            KernelId::Grm => "PLINK2",
-            KernelId::Pileup => "Medaka",
-            KernelId::NnBase => "Bonito",
-            KernelId::NnVariant => "Clair",
-        }
+        self.spec().meta.source_tool
     }
 
     /// The pipeline the kernel belongs to (Fig. 1).
     pub fn pipeline(&self) -> &'static str {
-        match self {
-            KernelId::Fmi
-            | KernelId::Bsw
-            | KernelId::Dbg
-            | KernelId::Phmm
-            | KernelId::NnVariant => "reference-guided assembly",
-            KernelId::Chain
-            | KernelId::Spoa
-            | KernelId::KmerCnt
-            | KernelId::Abea
-            | KernelId::Pileup => "de-novo assembly / polishing",
-            KernelId::Grm => "population genomics",
-            KernelId::NnBase => "basecalling",
-        }
+        self.spec().meta.pipeline
     }
 
     /// Parallelism motif (paper Table II).
     pub fn motif(&self) -> &'static str {
-        match self {
-            KernelId::Fmi => "index lookup (irregular memory)",
-            KernelId::Bsw => "2-D banded DP, integer",
-            KernelId::Dbg => "graph construction + hash table",
-            KernelId::Phmm => "2-D DP, floating point",
-            KernelId::Chain => "1-D DP, bounded predecessor scan",
-            KernelId::Spoa => "graph-sequence DP",
-            KernelId::Abea => "adaptive banded DP, floating point",
-            KernelId::KmerCnt => "hash-table update (irregular memory)",
-            KernelId::Grm => "dense matrix multiplication",
-            KernelId::Pileup => "record parsing, random access",
-            KernelId::NnBase => "dense CNN inference (GPU)",
-            KernelId::NnVariant => "RNN inference",
-        }
+        self.spec().meta.motif
     }
 
     /// Table III's data-parallelism granularity, or `None` for the
     /// regular-compute kernels the table omits.
     pub fn granularity(&self) -> Option<(&'static str, &'static str)> {
-        match self {
-            KernelId::Fmi => Some(("read", "# Occ table lookups")),
-            KernelId::Bsw => Some(("seed (sequence pair)", "# cell updates")),
-            KernelId::Dbg => Some(("genome region", "# hash table lookups")),
-            KernelId::Phmm => Some(("genome region", "# cell updates")),
-            KernelId::Chain => Some(("read pair", "# input anchors")),
-            KernelId::Spoa => Some(("read chunk window", "# cell updates")),
-            KernelId::Abea => Some(("read", "# band cells")),
-            KernelId::Pileup => Some(("genome region", "# record lookups")),
-            KernelId::KmerCnt | KernelId::Grm | KernelId::NnBase | KernelId::NnVariant => None,
-        }
+        self.spec().meta.granularity
     }
 
     /// Whether the kernel runs on the CPU in the original suite
     /// (nn-base is GPU-only; nn-variant's characterization failed under
     /// nvprof in the paper) — the CPU figures (5/6/8/9) cover these ten.
     pub fn is_cpu(&self) -> bool {
-        !matches!(self, KernelId::NnBase | KernelId::NnVariant)
+        self.spec().meta.cpu
     }
 
     /// Unit of [`Kernel::task_work`] — the paper's per-kernel throughput
     /// denominator (DP cell updates, k-mers, anchors, Occ lookups, …).
     /// `<work_unit>/s` is the throughput the run manifest records.
     pub fn work_unit(&self) -> &'static str {
-        match self {
-            KernelId::Fmi => "occ_lookups",
-            KernelId::Bsw | KernelId::Phmm | KernelId::Spoa | KernelId::Abea => "cells",
-            KernelId::Dbg => "hash_lookups",
-            KernelId::Chain => "anchors",
-            KernelId::KmerCnt => "kmers",
-            KernelId::Grm => "mac_ops",
-            KernelId::Pileup => "pileup_ops",
-            KernelId::NnBase | KernelId::NnVariant => "flops",
-        }
+        self.spec().meta.work_unit
     }
 
     /// Memory-level-parallelism hint for the top-down model: serial
     /// pointer-chase-like kernels overlap few misses; blocked compute
     /// kernels overlap many.
     pub fn mlp_hint(&self) -> f64 {
-        match self {
-            KernelId::Fmi => 1.6,
-            KernelId::KmerCnt => 2.5,
-            KernelId::Pileup => 3.0,
-            KernelId::Dbg => 4.0,
-            KernelId::Spoa => 3.0,
-            _ => 4.0,
-        }
+        self.spec().meta.mlp_hint
     }
 }
 
@@ -264,60 +212,124 @@ pub trait Kernel: Send + Sync {
     }
 }
 
-/// Prepares the dataset for `id` at `size`.
-pub fn prepare(id: KernelId, size: DatasetSize) -> Box<dyn Kernel> {
-    match id {
-        KernelId::Fmi => Box::new(fmi::FmiKernel::prepare(size)),
-        KernelId::Bsw => Box::new(bsw::BswKernel::prepare(size)),
-        KernelId::Dbg => Box::new(dbg::DbgKernel::prepare(size)),
-        KernelId::Phmm => Box::new(phmm::PhmmKernel::prepare(size)),
-        KernelId::Chain => Box::new(chain::ChainKernel::prepare(size)),
-        KernelId::Spoa => Box::new(spoa::SpoaKernel::prepare(size)),
-        KernelId::Abea => Box::new(abea::AbeaKernel::prepare(size)),
-        KernelId::KmerCnt => Box::new(kmercnt::KmerCntKernel::prepare(size)),
-        KernelId::Grm => Box::new(grm::GrmKernel::prepare(size)),
-        KernelId::Pileup => Box::new(pileup::PileupKernel::prepare(size)),
-        KernelId::NnBase => Box::new(nnbase::NnBaseKernel::prepare(size)),
-        KernelId::NnVariant => Box::new(nnvariant::NnVariantKernel::prepare(size)),
+/// One kernel's row of the paper's Tables I–III plus the suite's own
+/// per-kernel constants — everything that is known about a kernel
+/// without preparing it. Declared once, as [`KernelSpec::META`], in the
+/// kernel's file; the [`KernelId`] accessors read it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KernelMeta {
+    /// Which kernel this row describes.
+    pub id: KernelId,
+    /// See [`KernelId::name`].
+    pub name: &'static str,
+    /// See [`KernelId::source_tool`].
+    pub source_tool: &'static str,
+    /// See [`KernelId::pipeline`].
+    pub pipeline: &'static str,
+    /// See [`KernelId::motif`].
+    pub motif: &'static str,
+    /// See [`KernelId::granularity`].
+    pub granularity: Option<(&'static str, &'static str)>,
+    /// See [`KernelId::is_cpu`].
+    pub cpu: bool,
+    /// See [`KernelId::work_unit`].
+    pub work_unit: &'static str,
+    /// See [`KernelId::mlp_hint`].
+    pub mlp_hint: f64,
+    /// A fold of the dataset seeds `build_substrate` draws from. Part of
+    /// the cache key, so regenerating a dataset stream invalidates
+    /// exactly the substrates built from it.
+    pub substrate_seed: u64,
+    /// Tasks an instrumented characterization samples at the small and
+    /// large tiers (see `reports::characterize_budget`).
+    pub uarch_budget: usize,
+    /// Whether `instantiate` acts on its [`DpEngine`] — the kernels the
+    /// CLI's `--dp-engine` help names. The others run one engine.
+    pub engine_aware: bool,
+}
+
+/// A [`Kernel`] the registry can prepare: its metadata row, its
+/// deterministic cacheable build product, and the cheap per-run wrap of
+/// that product into a runnable kernel.
+pub trait KernelSpec: Kernel + Sized + 'static {
+    /// Deterministic build product of the prepare phase.
+    type Substrate: gb_substrate::Codec + Send + Sync + 'static;
+
+    /// The kernel's metadata row.
+    const META: KernelMeta;
+
+    /// The kernel's registry entry; [`KernelId::spec`] hands it out.
+    const ENTRY: KernelEntry = KernelEntry {
+        meta: &Self::META,
+        prepare: prepare_one::<Self>,
+        warm: warm_one::<Self>,
+    };
+
+    /// Generates the dataset and builds everything that depends only on
+    /// `size` — the expensive, engine-independent half of prepare.
+    fn build_substrate(size: DatasetSize) -> Self::Substrate;
+
+    /// Wraps a (possibly cached, possibly shared) substrate into a
+    /// runnable kernel. Per-run work only: no substrate data is rebuilt.
+    fn instantiate(sub: Arc<Self::Substrate>, engine: DpEngine) -> Self;
+
+    /// Cold prepare: builds the substrate and instantiates it.
+    fn prepare(size: DatasetSize, engine: DpEngine) -> Self {
+        Self::instantiate(Arc::new(Self::build_substrate(size)), engine)
     }
+}
+
+/// What [`KernelId::spec`] returns: a kernel's metadata and its two
+/// type-erased entry points into the generic prepare path.
+pub struct KernelEntry {
+    /// The kernel's metadata row.
+    pub meta: &'static KernelMeta,
+    prepare: PrepareFn,
+    warm: fn(DatasetSize, &SubstrateCache) -> CacheOutcome,
+}
+
+/// [`prepare_one`], monomorphised.
+type PrepareFn = fn(DatasetSize, DpEngine, &SubstrateCache) -> (Box<dyn Kernel>, CacheOutcome);
+
+/// The substrate for `K` at `size`, out of `cache` or freshly built.
+fn substrate_of<K: KernelSpec>(
+    size: DatasetSize,
+    cache: &SubstrateCache,
+) -> (Arc<K::Substrate>, CacheOutcome) {
+    cache.get_or_build(&substrate_key(K::META.id, size), || {
+        K::build_substrate(size)
+    })
+}
+
+fn prepare_one<K: KernelSpec>(
+    size: DatasetSize,
+    engine: DpEngine,
+    cache: &SubstrateCache,
+) -> (Box<dyn Kernel>, CacheOutcome) {
+    let (sub, outcome) = substrate_of::<K>(size, cache);
+    (Box::new(K::instantiate(sub, engine)), outcome)
+}
+
+fn warm_one<K: KernelSpec>(size: DatasetSize, cache: &SubstrateCache) -> CacheOutcome {
+    substrate_of::<K>(size, cache).1
+}
+
+/// Prepares the dataset for `id` at `size` on the paper-faithful scalar
+/// engine.
+pub fn prepare(id: KernelId, size: DatasetSize) -> Box<dyn Kernel> {
+    prepare_dp(id, size, DpEngine::Scalar)
 }
 
 /// Prepares the dataset for `id` at `size` with an explicit DP engine.
-/// Only the four DP-motif kernels (bsw, phmm, spoa, abea) have a SIMD
-/// fast path; every other kernel ignores the engine and behaves exactly
-/// as [`prepare`].
+/// Only the engine-aware kernels ([`KernelMeta::engine_aware`]) have a
+/// SIMD fast path; every other kernel ignores the engine.
 pub fn prepare_dp(id: KernelId, size: DatasetSize, engine: DpEngine) -> Box<dyn Kernel> {
-    match id {
-        KernelId::Bsw => Box::new(bsw::BswKernel::prepare_with(size, engine)),
-        KernelId::Phmm => Box::new(phmm::PhmmKernel::prepare_with(size, engine)),
-        KernelId::Spoa => Box::new(spoa::SpoaKernel::prepare_with(size, engine)),
-        KernelId::Abea => Box::new(abea::AbeaKernel::prepare_with(size, engine)),
-        _ => prepare(id, size),
-    }
+    prepare_cached(id, size, engine, &SubstrateCache::disabled()).0
 }
 
-/// The substrate seed for `id`: a fold of the dataset seeds the kernel's
-/// build actually draws from (see each kernel's `build_substrate`). Part
-/// of the cache key, so regenerating a dataset stream invalidates exactly
-/// the substrates built from it.
+/// The substrate seed for `id` (see [`KernelMeta::substrate_seed`]).
 pub fn substrate_seed(id: KernelId) -> u64 {
-    use crate::dataset::seeds;
-    match id {
-        KernelId::Fmi => seeds::GENOME ^ seeds::SHORT_READS,
-        KernelId::Bsw => seeds::GENOME ^ (seeds::SHORT_READS ^ 0xB5),
-        KernelId::Dbg => seeds::GENOME ^ seeds::REGIONS,
-        KernelId::Phmm => seeds::GENOME ^ (seeds::REGIONS ^ 0x9A),
-        KernelId::Chain => seeds::ANCHORS,
-        KernelId::Spoa => seeds::GENOME ^ (seeds::LONG_READS ^ 0x50A),
-        KernelId::Abea => seeds::GENOME ^ seeds::SIGNALS,
-        KernelId::KmerCnt => seeds::GENOME ^ seeds::LONG_READS,
-        KernelId::Grm => seeds::GENOTYPES,
-        KernelId::Pileup => seeds::GENOME ^ seeds::LONG_READS,
-        KernelId::NnBase => seeds::WEIGHTS ^ seeds::GENOME ^ (seeds::SIGNALS ^ 0xBA5E),
-        KernelId::NnVariant => {
-            seeds::GENOME ^ (seeds::LONG_READS ^ 0xC1A1) ^ (seeds::WEIGHTS ^ 0xC1)
-        }
-    }
+    id.spec().meta.substrate_seed
 }
 
 /// The cache key for `id`'s substrate at `size`: kernel name, tier name,
@@ -338,186 +350,53 @@ pub struct PrepareStats {
     pub cache_hit: bool,
 }
 
-/// Like [`prepare_dp`], but routes the expensive substrate build through
-/// `cache` and reports how the prepare went. With a disabled cache this
-/// is exactly a cold [`prepare_dp`].
+/// The one prepare path: the substrate comes out of `cache` (or is built
+/// and back-filled on a miss), is instantiated for `engine`, and the
+/// prepare's wall time and cache outcome are reported. With a disabled
+/// cache this is a cold prepare.
 pub fn prepare_cached(
     id: KernelId,
     size: DatasetSize,
     engine: DpEngine,
     cache: &SubstrateCache,
 ) -> (Box<dyn Kernel>, PrepareStats) {
-    let start = std::time::Instant::now();
-    let key = substrate_key(id, size);
-    let (kernel, outcome): (Box<dyn Kernel>, CacheOutcome) = match id {
-        KernelId::Fmi => {
-            let (sub, o) = cache.get_or_build(&key, || fmi::FmiKernel::build_substrate(size));
-            (Box::new(fmi::FmiKernel::instantiate(sub)), o)
-        }
-        KernelId::Bsw => {
-            let (sub, o) = cache.get_or_build(&key, || bsw::BswKernel::build_substrate(size));
-            (Box::new(bsw::BswKernel::instantiate(sub, engine)), o)
-        }
-        KernelId::Dbg => {
-            let (sub, o) = cache.get_or_build(&key, || dbg::DbgKernel::build_substrate(size));
-            (Box::new(dbg::DbgKernel::instantiate(sub)), o)
-        }
-        KernelId::Phmm => {
-            let (sub, o) = cache.get_or_build(&key, || phmm::PhmmKernel::build_substrate(size));
-            (Box::new(phmm::PhmmKernel::instantiate(sub, engine)), o)
-        }
-        KernelId::Chain => {
-            let (sub, o) = cache.get_or_build(&key, || chain::ChainKernel::build_substrate(size));
-            (Box::new(chain::ChainKernel::instantiate(sub)), o)
-        }
-        KernelId::Spoa => {
-            let (sub, o) = cache.get_or_build(&key, || spoa::SpoaKernel::build_substrate(size));
-            (Box::new(spoa::SpoaKernel::instantiate(sub, engine)), o)
-        }
-        KernelId::Abea => {
-            let (sub, o) = cache.get_or_build(&key, || abea::AbeaKernel::build_substrate(size));
-            (Box::new(abea::AbeaKernel::instantiate(sub, engine)), o)
-        }
-        KernelId::KmerCnt => {
-            let (sub, o) =
-                cache.get_or_build(&key, || kmercnt::KmerCntKernel::build_substrate(size));
-            (Box::new(kmercnt::KmerCntKernel::instantiate(sub)), o)
-        }
-        KernelId::Grm => {
-            let (sub, o) = cache.get_or_build(&key, || grm::GrmKernel::build_substrate(size));
-            (Box::new(grm::GrmKernel::instantiate(sub)), o)
-        }
-        KernelId::Pileup => {
-            let (sub, o) = cache.get_or_build(&key, || pileup::PileupKernel::build_substrate(size));
-            (Box::new(pileup::PileupKernel::instantiate(sub)), o)
-        }
-        KernelId::NnBase => {
-            let (sub, o) = cache.get_or_build(&key, || nnbase::NnBaseKernel::build_substrate(size));
-            (Box::new(nnbase::NnBaseKernel::instantiate(sub)), o)
-        }
-        KernelId::NnVariant => {
-            let (sub, o) =
-                cache.get_or_build(&key, || nnvariant::NnVariantKernel::build_substrate(size));
-            (Box::new(nnvariant::NnVariantKernel::instantiate(sub)), o)
-        }
+    let start = Instant::now();
+    let (kernel, outcome) = (id.spec().prepare)(size, engine, cache);
+    let stats = PrepareStats {
+        wall: start.elapsed(),
+        cache_hit: outcome.is_hit(),
     };
-    (
-        kernel,
-        PrepareStats {
-            wall: start.elapsed(),
-            cache_hit: outcome.is_hit(),
-        },
-    )
-}
-
-/// Result of warming one kernel's substrate: whether it was already
-/// cached (memo or disk) and how long the build or load took. The wall
-/// time is the pool-measured per-kernel duration, so a run can attribute
-/// its prepare cost even when the warm pre-pass overlapped the builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WarmOutcome {
-    /// The kernel whose substrate was warmed.
-    pub id: KernelId,
-    /// Whether the substrate was served from the cache.
-    pub cache_hit: bool,
-    /// Wall time of this kernel's build or load inside the pool.
-    pub wall: Duration,
+    (kernel, stats)
 }
 
 /// Populates `cache` with the substrates for `ids`, building cold ones in
-/// parallel over the suite's dynamic worker pool, and reports per-kernel
-/// outcomes. A no-op returning no outcomes when the cache is disabled
-/// (there would be nowhere to keep the results). After this,
-/// [`prepare_cached`] for any of `ids` is a memo hit plus a cheap
-/// instantiate.
+/// parallel over the suite's dynamic worker pool, and reports how each
+/// went. The wall time is measured per kernel inside the pool, so a run
+/// can attribute its prepare cost even though the builds overlapped. A
+/// no-op returning nothing when the cache is disabled (there would be
+/// nowhere to keep the results). After this, [`prepare_cached`] for any
+/// of `ids` is a memo hit plus a cheap instantiate.
 pub fn warm_substrates(
     ids: &[KernelId],
     size: DatasetSize,
     cache: &SubstrateCache,
     threads: usize,
-) -> Vec<WarmOutcome> {
+) -> Vec<(KernelId, PrepareStats)> {
     if !cache.is_enabled() || ids.is_empty() {
         return Vec::new();
     }
-    let outcomes = std::sync::Mutex::new(Vec::with_capacity(ids.len()));
+    let warmed = std::sync::Mutex::new(Vec::with_capacity(ids.len()));
     let _ = run_dynamic(ids.len(), threads, |i| {
-        let id = ids[i];
-        let key = substrate_key(id, size);
-        let start = std::time::Instant::now();
-        let outcome = match id {
-            KernelId::Fmi => {
-                cache
-                    .get_or_build(&key, || fmi::FmiKernel::build_substrate(size))
-                    .1
-            }
-            KernelId::Bsw => {
-                cache
-                    .get_or_build(&key, || bsw::BswKernel::build_substrate(size))
-                    .1
-            }
-            KernelId::Dbg => {
-                cache
-                    .get_or_build(&key, || dbg::DbgKernel::build_substrate(size))
-                    .1
-            }
-            KernelId::Phmm => {
-                cache
-                    .get_or_build(&key, || phmm::PhmmKernel::build_substrate(size))
-                    .1
-            }
-            KernelId::Chain => {
-                cache
-                    .get_or_build(&key, || chain::ChainKernel::build_substrate(size))
-                    .1
-            }
-            KernelId::Spoa => {
-                cache
-                    .get_or_build(&key, || spoa::SpoaKernel::build_substrate(size))
-                    .1
-            }
-            KernelId::Abea => {
-                cache
-                    .get_or_build(&key, || abea::AbeaKernel::build_substrate(size))
-                    .1
-            }
-            KernelId::KmerCnt => {
-                cache
-                    .get_or_build(&key, || kmercnt::KmerCntKernel::build_substrate(size))
-                    .1
-            }
-            KernelId::Grm => {
-                cache
-                    .get_or_build(&key, || grm::GrmKernel::build_substrate(size))
-                    .1
-            }
-            KernelId::Pileup => {
-                cache
-                    .get_or_build(&key, || pileup::PileupKernel::build_substrate(size))
-                    .1
-            }
-            KernelId::NnBase => {
-                cache
-                    .get_or_build(&key, || nnbase::NnBaseKernel::build_substrate(size))
-                    .1
-            }
-            KernelId::NnVariant => {
-                cache
-                    .get_or_build(&key, || nnvariant::NnVariantKernel::build_substrate(size))
-                    .1
-            }
+        let start = Instant::now();
+        let cache_hit = (ids[i].spec().warm)(size, cache).is_hit();
+        let stats = PrepareStats {
+            wall: start.elapsed(),
+            cache_hit,
         };
-        let hit = outcome.is_hit();
-        outcomes
-            .lock()
-            .expect("warm outcomes lock")
-            .push(WarmOutcome {
-                id,
-                cache_hit: hit,
-                wall: start.elapsed(),
-            });
-        hit as u64
+        warmed.lock().expect("warm lock").push((ids[i], stats));
+        cache_hit as u64
     });
-    outcomes.into_inner().expect("warm outcomes lock")
+    warmed.into_inner().expect("warm lock")
 }
 
 /// Runs every task serially.
@@ -594,12 +473,12 @@ pub fn characterize(kernel: &dyn Kernel, max_tasks: usize) -> Characterization {
 
 /// Runs the abea SIMT model on the given dataset tier (Tables IV–V).
 pub fn abea_gpu_report(size: DatasetSize) -> gb_simt::exec::GpuKernelReport {
-    abea::AbeaKernel::prepare(size).gpu_report()
+    abea::AbeaKernel::prepare(size, DpEngine::Scalar).gpu_report()
 }
 
 /// Runs the nn-base SIMT model on the given dataset tier (Tables IV–V).
 pub fn nnbase_gpu_report(size: DatasetSize) -> gb_simt::exec::GpuKernelReport {
-    nnbase::NnBaseKernel::prepare(size).gpu_report()
+    nnbase::NnBaseKernel::prepare(size, DpEngine::Scalar).gpu_report()
 }
 
 /// Runs the bsw inter-sequence batch model at several configurations
@@ -607,7 +486,7 @@ pub fn nnbase_gpu_report(size: DatasetSize) -> gb_simt::exec::GpuKernelReport {
 /// the executed i32 lockstep kernel, and the production i16 SoA SIMD
 /// engine (unsorted and length-sorted, for the slot-efficiency delta).
 pub fn bsw_batch_reports(size: DatasetSize) -> Vec<(String, gb_dp::bsw::BatchReport)> {
-    let k = bsw::BswKernel::prepare(size);
+    let k = bsw::BswKernel::prepare(size, DpEngine::Scalar);
     vec![
         ("16 lanes, unsorted".to_string(), k.batch_report(16, false)),
         (
@@ -713,36 +592,70 @@ mod tests {
         assert_eq!(total as f64, d.mean * kernel.num_tasks() as f64);
     }
 
+    const ENGINES: [DpEngine; 2] = [DpEngine::Scalar, DpEngine::Simd];
+
+    /// What every prepare spelling must agree on for one engine.
+    fn outcome(kernel: &dyn Kernel) -> (usize, u64, u64) {
+        (
+            kernel.num_tasks(),
+            run_serial(kernel).checksum,
+            total_work(kernel),
+        )
+    }
+
     #[test]
     fn prepare_cached_is_cold_then_hot_and_checksum_stable() {
-        let cache = SubstrateCache::in_process();
-        let (k1, s1) = prepare_cached(KernelId::Chain, DatasetSize::Tiny, DpEngine::Scalar, &cache);
-        assert!(!s1.cache_hit, "first prepare must build");
-        let (k2, s2) = prepare_cached(KernelId::Chain, DatasetSize::Tiny, DpEngine::Scalar, &cache);
-        assert!(s2.cache_hit, "second prepare must hit the memo");
-        let cold = prepare(KernelId::Chain, DatasetSize::Tiny);
-        let want = run_serial(cold.as_ref()).checksum;
-        assert_eq!(run_serial(k1.as_ref()).checksum, want);
-        assert_eq!(run_serial(k2.as_ref()).checksum, want);
+        for id in KernelId::ALL {
+            // The registry arm, the metadata row and the kernel agree on
+            // which kernel this is.
+            assert_eq!(id.spec().meta.id, id);
+            let reference = prepare(id, DatasetSize::Tiny);
+            assert_eq!(reference.id(), id);
+            let scalar = outcome(reference.as_ref());
+            for engine in ENGINES {
+                // One cache per engine: the key is engine-independent, so
+                // a shared cache would make the second engine start warm.
+                let cache = SubstrateCache::in_process();
+                let (k1, s1) = prepare_cached(id, DatasetSize::Tiny, engine, &cache);
+                assert!(!s1.cache_hit, "{}: first prepare must build", id.name());
+                let (k2, s2) = prepare_cached(id, DatasetSize::Tiny, engine, &cache);
+                assert!(s2.cache_hit, "{}: second prepare must hit", id.name());
+                let cold = outcome(prepare_dp(id, DatasetSize::Tiny, engine).as_ref());
+                assert_eq!(outcome(k1.as_ref()), cold, "{} cold", id.name());
+                assert_eq!(outcome(k2.as_ref()), cold, "{} hot", id.name());
+                // `prepare` is the scalar engine; the SIMD engine may
+                // shape its tasks differently but computes the same.
+                assert_eq!((cold.1, cold.2), (scalar.1, scalar.2), "{}", id.name());
+                if engine == DpEngine::Scalar {
+                    assert_eq!(cold.0, scalar.0, "{}", id.name());
+                }
+            }
+        }
     }
 
     #[test]
     fn disabled_cache_never_hits() {
         let cache = SubstrateCache::disabled();
-        for _ in 0..2 {
-            let (_, s) = prepare_cached(KernelId::Grm, DatasetSize::Tiny, DpEngine::Scalar, &cache);
-            assert!(!s.cache_hit);
+        for id in KernelId::ALL {
+            for engine in ENGINES {
+                let (_, s) = prepare_cached(id, DatasetSize::Tiny, engine, &cache);
+                assert!(!s.cache_hit, "{}", id.name());
+            }
         }
     }
 
     #[test]
     fn warm_substrates_turns_prepares_into_hits() {
         let cache = SubstrateCache::in_process();
-        let ids = [KernelId::Chain, KernelId::Grm, KernelId::Dbg];
-        warm_substrates(&ids, DatasetSize::Tiny, &cache, 3);
-        for id in ids {
-            let (_, s) = prepare_cached(id, DatasetSize::Tiny, DpEngine::Scalar, &cache);
-            assert!(s.cache_hit, "{} should be warm", id.name());
+        let warmed = warm_substrates(&KernelId::ALL, DatasetSize::Tiny, &cache, 3);
+        for id in KernelId::ALL {
+            let built: Vec<_> = warmed.iter().filter(|(w, _)| *w == id).collect();
+            assert_eq!(built.len(), 1, "{} warmed once", id.name());
+            assert!(!built[0].1.cache_hit, "{} was cold", id.name());
+            for engine in ENGINES {
+                let (_, s) = prepare_cached(id, DatasetSize::Tiny, engine, &cache);
+                assert!(s.cache_hit, "{} should be warm", id.name());
+            }
         }
     }
 

@@ -1,9 +1,10 @@
 //! The **nn-base** kernel: neural basecalling (paper §III, from Bonito).
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::signal::{simulate_signal, PoreModel, SignalSimConfig};
+use gb_dp::DpEngine;
 use gb_nn::basecaller::{Basecaller, BasecallerConfig};
 use gb_simt::exec::GpuKernelReport;
 use gb_simt::kernels::{bonito_like_layers, model_nn_base_gpu, GemmGpuParams};
@@ -38,21 +39,31 @@ pub struct NnBaseKernel {
     sub: Arc<NnBaseSubstrate>,
 }
 
-impl NnBaseKernel {
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare(size: DatasetSize) -> NnBaseKernel {
-        NnBaseKernel::instantiate(Arc::new(NnBaseKernel::build_substrate(size)))
-    }
+impl KernelSpec for NnBaseKernel {
+    type Substrate = NnBaseSubstrate;
 
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. Cheap: no data is copied.
-    pub fn instantiate(sub: Arc<NnBaseSubstrate>) -> NnBaseKernel {
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::NnBase,
+        name: "nn-base",
+        source_tool: "Bonito",
+        pipeline: "basecalling",
+        motif: "dense CNN inference (GPU)",
+        granularity: None,
+        cpu: false,
+        work_unit: "flops",
+        mlp_hint: 4.0,
+        substrate_seed: seeds::WEIGHTS ^ seeds::GENOME ^ (seeds::SIGNALS ^ 0xBA5E),
+        uarch_budget: 1,
+        engine_aware: false,
+    };
+
+    fn instantiate(sub: Arc<NnBaseSubstrate>, _engine: DpEngine) -> NnBaseKernel {
         NnBaseKernel { sub }
     }
 
     /// Simulates raw nanopore signal and splits it into the model's
     /// 4,000-sample chunks.
-    pub fn build_substrate(size: DatasetSize) -> NnBaseSubstrate {
+    fn build_substrate(size: DatasetSize) -> NnBaseSubstrate {
         let num_chunks = match size {
             DatasetSize::Tiny => 2,
             DatasetSize::Small => 30,
@@ -84,7 +95,9 @@ impl NnBaseKernel {
         }
         NnBaseSubstrate { model, chunks }
     }
+}
 
+impl NnBaseKernel {
     /// Runs the SIMT model of this network's layers (Tables IV–V).
     pub fn gpu_report(&self) -> GpuKernelReport {
         let c = self.sub.model.config();
@@ -154,13 +167,13 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let k = NnBaseKernel::prepare(DatasetSize::Tiny);
+        let k = NnBaseKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert_eq!(run_serial(&k).checksum, run_parallel(&k, 2).checksum);
     }
 
     #[test]
     fn gpu_report_is_regular() {
-        let k = NnBaseKernel::prepare(DatasetSize::Tiny);
+        let k = NnBaseKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let r = k.gpu_report();
         assert_eq!(r.branch_efficiency, 1.0);
         assert!(r.occupancy > 0.8);

@@ -1,12 +1,13 @@
 //! The **nn-variant** kernel: neural variant calling (paper §III, from
 //! Clair).
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::record::AlignmentRecord;
 use gb_core::region::{Region, RegionTask};
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::reads::{simulate_reads, ReadSimConfig};
+use gb_dp::DpEngine;
 use gb_nn::variant_caller::{VariantCaller, VariantCallerConfig};
 use gb_pileup::feature::{clair_tensor, ClairTensor};
 use gb_pileup::pileup::count_pileup;
@@ -39,15 +40,25 @@ pub struct NnVariantKernel {
     sub: Arc<NnVariantSubstrate>,
 }
 
-impl NnVariantKernel {
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare(size: DatasetSize) -> NnVariantKernel {
-        NnVariantKernel::instantiate(Arc::new(NnVariantKernel::build_substrate(size)))
-    }
+impl KernelSpec for NnVariantKernel {
+    type Substrate = NnVariantSubstrate;
 
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. Cheap: no data is copied.
-    pub fn instantiate(sub: Arc<NnVariantSubstrate>) -> NnVariantKernel {
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::NnVariant,
+        name: "nn-variant",
+        source_tool: "Clair",
+        pipeline: "reference-guided assembly",
+        motif: "RNN inference",
+        granularity: None,
+        cpu: false,
+        work_unit: "flops",
+        mlp_hint: 4.0,
+        substrate_seed: seeds::GENOME ^ (seeds::LONG_READS ^ 0xC1A1) ^ (seeds::WEIGHTS ^ 0xC1),
+        uarch_budget: 3,
+        engine_aware: false,
+    };
+
+    fn instantiate(sub: Arc<NnVariantSubstrate>, _engine: DpEngine) -> NnVariantKernel {
         NnVariantKernel { sub }
     }
 
@@ -55,7 +66,7 @@ impl NnVariantKernel {
     /// alignments, pileup-count them, and cut candidate tensors at
     /// regularly spaced reference positions (the paper's "first 10,000 /
     /// 500,000 reference positions" datasets).
-    pub fn build_substrate(size: DatasetSize) -> NnVariantSubstrate {
+    fn build_substrate(size: DatasetSize) -> NnVariantSubstrate {
         let num_candidates = match size {
             DatasetSize::Tiny => 5,
             DatasetSize::Small => 150,
@@ -92,7 +103,9 @@ impl NnVariantKernel {
         let model = VariantCaller::new(&VariantCallerConfig::default(), seeds::WEIGHTS ^ 0xC1);
         NnVariantSubstrate { model, tensors }
     }
+}
 
+impl NnVariantKernel {
     /// Multiply-accumulates per call.
     pub fn flops_per_call(&self) -> u64 {
         self.sub.model.flops_per_call()
@@ -145,14 +158,14 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let k = NnVariantKernel::prepare(DatasetSize::Tiny);
+        let k = NnVariantKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert_eq!(run_serial(&k).checksum, run_parallel(&k, 2).checksum);
         assert_eq!(k.num_tasks(), 5);
     }
 
     #[test]
     fn tensors_are_populated() {
-        let k = NnVariantKernel::prepare(DatasetSize::Tiny);
+        let k = NnVariantKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let nonzero = k
             .sub
             .tensors

@@ -8,7 +8,7 @@
 //! first for the dynamic pool). Per-pair likelihoods are bit-identical,
 //! so both engines produce the same run checksum.
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_assembly::dbg::{assemble_region, DbgParams};
 use gb_core::record::ReadRecord;
@@ -74,33 +74,40 @@ pub struct PhmmKernel {
 }
 
 impl PhmmKernel {
-    /// Paper-faithful preparation: scalar (row-wise) engine.
-    pub fn prepare(size: DatasetSize) -> PhmmKernel {
-        PhmmKernel::prepare_with(size, DpEngine::Scalar)
-    }
-
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare_with(size: DatasetSize, engine: DpEngine) -> PhmmKernel {
-        PhmmKernel::instantiate(Arc::new(PhmmKernel::build_substrate(size)), engine)
-    }
-
     /// The region task the pool's task `i` executes.
     // PANIC-FREE: `order` is a permutation of `0..tasks.len()` and the
     // pool keeps `i < num_tasks()`.
     fn task(&self, i: usize) -> &PhmmTask {
         &self.sub.tasks[self.order[i]]
     }
+}
 
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. The SIMD engine derives its
-    /// longest-processing-time-first issue order here: phmm has the
-    /// paper's worst per-region imbalance (Fig. 4), so issuing the
-    /// heaviest regions first stops one of them landing last and
-    /// stretching the pool's tail. Checksums are order-insensitive, so
-    /// the permutation cannot change results.
+impl KernelSpec for PhmmKernel {
+    type Substrate = PhmmSubstrate;
+
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::Phmm,
+        name: "phmm",
+        source_tool: "GATK HaplotypeCaller",
+        pipeline: "reference-guided assembly",
+        motif: "2-D DP, floating point",
+        granularity: Some(("genome region", "# cell updates")),
+        cpu: true,
+        work_unit: "cells",
+        mlp_hint: 4.0,
+        substrate_seed: seeds::GENOME ^ (seeds::REGIONS ^ 0x9A),
+        uarch_budget: 4,
+        engine_aware: true,
+    };
+
+    /// The SIMD engine derives its longest-processing-time-first issue
+    /// order here: phmm has the paper's worst per-region imbalance
+    /// (Fig. 4), so issuing the heaviest regions first stops one of them
+    /// landing last and stretching the pool's tail. Checksums are
+    /// order-insensitive, so the permutation cannot change results.
     // PANIC-FREE: the sort key indexes `sub.tasks` with members of
     // `0..tasks.len()`.
-    pub fn instantiate(sub: Arc<PhmmSubstrate>, engine: DpEngine) -> PhmmKernel {
+    fn instantiate(sub: Arc<PhmmSubstrate>, engine: DpEngine) -> PhmmKernel {
         let mut order: Vec<usize> = (0..sub.tasks.len()).collect();
         if engine == DpEngine::Simd {
             order.sort_by_key(|&i| {
@@ -121,7 +128,7 @@ impl PhmmKernel {
     /// Builds the realistic GATK front-to-back input: regions are
     /// simulated, re-assembled with the dbg kernel, and the resulting
     /// haplotypes paired with the region's reads.
-    pub fn build_substrate(size: DatasetSize) -> PhmmSubstrate {
+    fn build_substrate(size: DatasetSize) -> PhmmSubstrate {
         let genome_len = match size {
             DatasetSize::Tiny => 4_000,
             DatasetSize::Small => 24_000,
@@ -233,7 +240,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let k = PhmmKernel::prepare(DatasetSize::Tiny);
+        let k = PhmmKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert!(k.num_tasks() > 10);
         assert_eq!(run_serial(&k).checksum, run_parallel(&k, 4).checksum);
     }
@@ -241,7 +248,7 @@ mod tests {
     #[test]
     fn region_work_varies_strongly() {
         // Paper Fig. 4: phmm shows the largest per-task imbalance.
-        let k = PhmmKernel::prepare(DatasetSize::Tiny);
+        let k = PhmmKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let d = work_distribution(&k);
         // Data-derived invariants that hold for any RNG stream: region
         // work genuinely varies, so max exceeds both min and mean.
@@ -260,8 +267,8 @@ mod tests {
         // Per-pair likelihoods are bit-identical across engines and the
         // pool checksum is order-insensitive, so the wavefront engine's
         // LPT task reordering cannot change the result.
-        let scalar = PhmmKernel::prepare_with(DatasetSize::Tiny, DpEngine::Scalar);
-        let simd = PhmmKernel::prepare_with(DatasetSize::Tiny, DpEngine::Simd);
+        let scalar = PhmmKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
+        let simd = PhmmKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
         assert_eq!(scalar.num_tasks(), simd.num_tasks());
         assert_eq!(
             run_serial(&scalar).checksum,
@@ -271,7 +278,7 @@ mod tests {
 
     #[test]
     fn simd_engine_issues_heaviest_region_first() {
-        let simd = PhmmKernel::prepare_with(DatasetSize::Tiny, DpEngine::Simd);
+        let simd = PhmmKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
         let works: Vec<u64> = (0..simd.num_tasks()).map(|i| simd.task_work(i)).collect();
         let max = works.iter().copied().max().unwrap();
         assert_eq!(

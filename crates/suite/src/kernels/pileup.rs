@@ -1,12 +1,13 @@
 //! The **pileup** kernel: per-region base/indel counting (paper §III,
 //! from Medaka).
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::record::AlignmentRecord;
 use gb_core::region::{Region, RegionTask};
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::reads::{simulate_reads, ReadSimConfig};
+use gb_dp::DpEngine;
 use gb_pileup::pileup::{count_pileup, count_pileup_probed};
 use gb_uarch::cache::CacheProbe;
 use std::sync::Arc;
@@ -38,21 +39,31 @@ pub struct PileupKernel {
     sub: Arc<PileupSubstrate>,
 }
 
-impl PileupKernel {
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare(size: DatasetSize) -> PileupKernel {
-        PileupKernel::instantiate(Arc::new(PileupKernel::build_substrate(size)))
-    }
+impl KernelSpec for PileupKernel {
+    type Substrate = PileupSubstrate;
 
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. Cheap: no data is copied.
-    pub fn instantiate(sub: Arc<PileupSubstrate>) -> PileupKernel {
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::Pileup,
+        name: "pileup",
+        source_tool: "Medaka",
+        pipeline: "de-novo assembly / polishing",
+        motif: "record parsing, random access",
+        granularity: Some(("genome region", "# record lookups")),
+        cpu: true,
+        work_unit: "pileup_ops",
+        mlp_hint: 3.0,
+        substrate_seed: seeds::GENOME ^ seeds::LONG_READS,
+        uarch_budget: 1,
+        engine_aware: false,
+    };
+
+    fn instantiate(sub: Arc<PileupSubstrate>, _engine: DpEngine) -> PileupKernel {
         PileupKernel { sub }
     }
 
     /// Simulates ONT-like long-read alignments across the genome and
     /// tiles them into 100-kb counting regions.
-    pub fn build_substrate(size: DatasetSize) -> PileupSubstrate {
+    fn build_substrate(size: DatasetSize) -> PileupSubstrate {
         let genome_len = match size {
             DatasetSize::Tiny => 120_000,
             DatasetSize::Small => 1_200_000,
@@ -94,7 +105,9 @@ impl PileupKernel {
             .collect();
         PileupSubstrate { tasks }
     }
+}
 
+impl PileupKernel {
     /// The region tasks (shared with the nn-variant front-end).
     pub fn tasks(&self) -> &[RegionTask] {
         &self.sub.tasks
@@ -143,14 +156,14 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let k = PileupKernel::prepare(DatasetSize::Tiny);
+        let k = PileupKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert_eq!(run_serial(&k).checksum, run_parallel(&k, 4).checksum);
         assert_eq!(k.num_tasks(), 2);
     }
 
     #[test]
     fn coverage_lands_in_regions() {
-        let k = PileupKernel::prepare(DatasetSize::Tiny);
+        let k = PileupKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert!(k.task_work(0) > 100_000, "work {}", k.task_work(0));
     }
 }

@@ -9,7 +9,7 @@
 //! bit-identical scores, paths and graphs, so the two engines produce
 //! the same run checksum.
 
-use super::{Kernel, KernelId};
+use super::{Kernel, KernelId, KernelMeta, KernelSpec};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::seq::DnaSeq;
 use gb_datagen::genome::{Genome, GenomeConfig};
@@ -51,20 +51,25 @@ pub struct SpoaKernel {
     engine: DpEngine,
 }
 
-impl SpoaKernel {
-    /// Paper-faithful preparation: scalar engine.
-    pub fn prepare(size: DatasetSize) -> SpoaKernel {
-        SpoaKernel::prepare_with(size, DpEngine::Scalar)
-    }
+impl KernelSpec for SpoaKernel {
+    type Substrate = SpoaSubstrate;
 
-    /// Builds the substrate and instantiates it (cold prepare).
-    pub fn prepare_with(size: DatasetSize, engine: DpEngine) -> SpoaKernel {
-        SpoaKernel::instantiate(Arc::new(SpoaKernel::build_substrate(size)), engine)
-    }
+    const META: KernelMeta = KernelMeta {
+        id: KernelId::Spoa,
+        name: "spoa",
+        source_tool: "Racon",
+        pipeline: "de-novo assembly / polishing",
+        motif: "graph-sequence DP",
+        granularity: Some(("read chunk window", "# cell updates")),
+        cpu: true,
+        work_unit: "cells",
+        mlp_hint: 3.0,
+        substrate_seed: seeds::GENOME ^ (seeds::LONG_READS ^ 0x50A),
+        uarch_budget: 3,
+        engine_aware: true,
+    };
 
-    /// Wraps a (possibly cached, possibly shared) substrate into a
-    /// runnable kernel. Cheap: no data is copied.
-    pub fn instantiate(sub: Arc<SpoaSubstrate>, engine: DpEngine) -> SpoaKernel {
+    fn instantiate(sub: Arc<SpoaSubstrate>, engine: DpEngine) -> SpoaKernel {
         SpoaKernel {
             sub,
             params: PoaParams::default(),
@@ -77,7 +82,7 @@ impl SpoaKernel {
     /// The window set is identical for both engines; spoa vectorizes
     /// *within* each alignment (read-dimension row sweeps), so the task
     /// shape is one window per task on either engine.
-    pub fn build_substrate(size: DatasetSize) -> SpoaSubstrate {
+    fn build_substrate(size: DatasetSize) -> SpoaSubstrate {
         let num_windows = match size {
             DatasetSize::Tiny => 6,
             DatasetSize::Small => 120,
@@ -115,7 +120,9 @@ impl SpoaKernel {
             .collect();
         SpoaSubstrate { windows }
     }
+}
 
+impl SpoaKernel {
     /// Replays every window on this kernel's engine and folds the
     /// per-alignment slot accounting (used by [`Kernel::export_gauges`]
     /// and the experiment reports).
@@ -197,13 +204,13 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let k = SpoaKernel::prepare(DatasetSize::Tiny);
+        let k = SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert_eq!(run_serial(&k).checksum, run_parallel(&k, 4).checksum);
     }
 
     #[test]
     fn consensus_recovers_backbone_closely() {
-        let k = SpoaKernel::prepare(DatasetSize::Tiny);
+        let k = SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let (consensus, _, _) = window_consensus_engine(&k.sub.windows[0], &k.params, k.engine);
         let backbone = &k.sub.windows[0][0];
         let len_diff = (consensus.len() as i64 - backbone.len() as i64).abs();
@@ -212,8 +219,8 @@ mod tests {
 
     #[test]
     fn engines_agree_on_checksum() {
-        let scalar = SpoaKernel::prepare_with(DatasetSize::Tiny, DpEngine::Scalar);
-        let simd = SpoaKernel::prepare_with(DatasetSize::Tiny, DpEngine::Simd);
+        let scalar = SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
+        let simd = SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
         assert_eq!(scalar.num_tasks(), simd.num_tasks());
         assert_eq!(
             run_serial(&scalar).checksum,
@@ -223,8 +230,8 @@ mod tests {
 
     #[test]
     fn engines_agree_on_total_work() {
-        let scalar = SpoaKernel::prepare_with(DatasetSize::Tiny, DpEngine::Scalar);
-        let simd = SpoaKernel::prepare_with(DatasetSize::Tiny, DpEngine::Simd);
+        let scalar = SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
+        let simd = SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
         assert_eq!(
             crate::kernels::total_work(&scalar),
             crate::kernels::total_work(&simd)
@@ -233,7 +240,7 @@ mod tests {
 
     #[test]
     fn simd_gauges_report_slot_accounting() {
-        let simd = SpoaKernel::prepare_with(DatasetSize::Tiny, DpEngine::Simd);
+        let simd = SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
         let gauges = simd.export_gauges();
         let get = |name: &str| {
             gauges
@@ -248,7 +255,7 @@ mod tests {
         // below the watch, so nothing retires on this workload.
         assert_eq!(get("spoa.simd_retired_lanes"), 0.0);
         // Scalar engine exports nothing.
-        assert!(SpoaKernel::prepare(DatasetSize::Tiny)
+        assert!(SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar)
             .export_gauges()
             .is_empty());
     }

@@ -44,12 +44,12 @@ where
     // model-check it (tests/loom_pool.rs): exactly-once claiming and
     // monotone shutdown across all bounded-preemption interleavings.
     let cursor = TaskCursor::new(num_tasks);
-    let total = crossbeam::thread::scope(|scope| {
+    let total = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let cursor = &cursor;
                 let work = &work;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut acc = 0u64;
                     while let Some(i) = cursor.claim() {
                         acc = acc.wrapping_add(work(i));
@@ -62,8 +62,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .fold(0u64, u64::wrapping_add)
-    })
-    .expect("crossbeam scope");
+    });
     (total, start.elapsed())
 }
 
@@ -164,12 +163,12 @@ where
     let tallies: Vec<WorkerTally> = if threads == 1 {
         vec![instrumented_worker(&cursor, &work, recorder, span_name, 0)]
     } else {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     let cursor = &cursor;
                     let work = &work;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         instrumented_worker(cursor, work, recorder, span_name, t as u32)
                     })
                 })
@@ -179,7 +178,6 @@ where
                 .map(|h| h.join().expect("worker panicked"))
                 .collect()
         })
-        .expect("crossbeam scope")
     };
     let elapsed = start.elapsed();
     let wall_ns = elapsed.as_nanos() as u64;

@@ -63,20 +63,7 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// CLI can characterize individual kernels on the same budget when
 /// exporting uarch counters into a run manifest.
 pub fn characterize_budget(id: KernelId, size: DatasetSize) -> usize {
-    let base = match id {
-        KernelId::Fmi => 60,
-        KernelId::Bsw => 60,
-        KernelId::Dbg => 20,
-        KernelId::Phmm => 4,
-        KernelId::Chain => 20,
-        KernelId::Spoa => 3,
-        KernelId::Abea => 2,
-        KernelId::KmerCnt => 1,
-        KernelId::Grm => 2,
-        KernelId::Pileup => 1,
-        KernelId::NnBase => 1,
-        KernelId::NnVariant => 3,
-    };
+    let base = id.spec().meta.uarch_budget;
     match size {
         DatasetSize::Tiny => base.clamp(1, 2),
         _ => base,

@@ -352,7 +352,7 @@ pub fn float_determinism(
         let only_v: Vec<usize> = reach_v.difference(&reach_s).copied().collect();
         let ps = side_profile(cg, &only_s);
         let pv = side_profile(cg, &only_v);
-        let classes: [(&str, &Vec<(String, usize)>, &Vec<(String, usize)>); 4] = [
+        let classes = [
             ("`mul_add` (fused rounding)", &ps.mul_add, &pv.mul_add),
             ("`as f32` cast", &ps.f32_casts, &pv.f32_casts),
             ("`as f64` cast", &ps.f64_casts, &pv.f64_casts),

@@ -16,8 +16,6 @@
 //! * `schema-version` — the `SCHEMA_VERSION` literal in
 //!   `crates/obs/src/manifest.rs` is named on a "schema" line of both
 //!   README.md and CHANGES.md.
-//! * `kernel-table` — every `KernelId` variant is registered in the
-//!   `ALL` table and handled by `work_unit`.
 //! * `bench-ci` — every Criterion bench declared in
 //!   `crates/bench/Cargo.toml` is wired into a CI workflow.
 //! * `clippy-allow-justified` — every `allow(clippy::…)` /
@@ -38,11 +36,6 @@
 //!   `genomicsbench` binary appears in README.md (subcommands on a
 //!   `genomicsbench …` line), so the CLI surface can't outgrow its
 //!   documentation.
-//! * `dp-engine-help` — every kernel wired into `prepare_dp`'s
-//!   engine-aware dispatch (a `KernelId::X => … prepare_with(size,
-//!   engine)` arm) is named, lowercase, in the `--dp-engine` paragraph
-//!   of the CLI usage text, so a newly ported kernel can't ship with
-//!   help text that still lists the old engine roster.
 //! * `substrate-schema` — the `SUBSTRATE_SCHEMA` literal in
 //!   `crates/substrate/src/lib.rs` is named on a "substrate … schema"
 //!   line of both README.md and CHANGES.md, the same drift guard the
@@ -89,13 +82,11 @@ pub fn run_all(ws: &Workspace) -> Vec<Violation> {
     v.extend(safety_comments(ws));
     v.extend(relaxed_allowlist(ws));
     v.extend(schema_version(ws));
-    v.extend(kernel_table(ws));
     v.extend(bench_ci(ws));
     v.extend(clippy_allow_justified(ws));
     v.extend(unsafe_hygiene(ws));
     v.extend(traced_stages(ws));
     v.extend(cli_readme_sync(ws));
-    v.extend(dp_engine_help(ws));
     v.extend(substrate_schema(ws));
     v.extend(marker_attached(ws));
     v
@@ -300,115 +291,6 @@ pub fn substrate_schema(ws: &Workspace) -> Vec<Violation> {
                     "no line mentions substrate schema {lit} (declared in {src}); \
                      update the doc to match the code"
                 ),
-            });
-        }
-    }
-    out
-}
-
-// --- kernel-table ------------------------------------------------------
-
-/// The text of the `{…}` block that starts at the first `{` at or after
-/// `from` (brace-matched on the code shadow, so strings/comments can't
-/// unbalance it).
-fn brace_block(sh: &Shadows, from: usize) -> Option<&str> {
-    let code = &sh.code;
-    let open = code[from..].find('{')? + from;
-    let mut depth = 0usize;
-    for (off, ch) in code[open..].char_indices() {
-        match ch {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&code[open..open + off + 1]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Identifier variants of `enum KernelId { … }` (skips attribute/doc
-/// noise — anything that isn't a leading capitalized ident).
-fn kernel_variants(sh: &Shadows) -> Vec<String> {
-    let Some(pos) = sh.code.find("enum KernelId") else {
-        return Vec::new();
-    };
-    let Some(block) = brace_block(sh, pos) else {
-        return Vec::new();
-    };
-    block
-        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|w| {
-            !w.is_empty()
-                && w.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                && w != &"KernelId"
-        })
-        .map(str::to_string)
-        .collect()
-}
-
-/// Every `KernelId` variant must be registered in the `ALL` table and
-/// carry a `work_unit` arm — a new kernel that compiles but is absent
-/// from the suite table or reports no throughput unit is a bug the type
-/// system can't catch.
-pub fn kernel_table(ws: &Workspace) -> Vec<Violation> {
-    const MOD: &str = "crates/suite/src/kernels/mod.rs";
-    let Some(f) = ws.get(MOD) else {
-        return vec![Violation {
-            rule: "kernel-table",
-            file: MOD.into(),
-            line: 0,
-            msg: "kernel table module missing".into(),
-        }];
-    };
-    let sh = f.shadows();
-    let variants = kernel_variants(&sh);
-    let mut out = Vec::new();
-    if variants.is_empty() {
-        out.push(Violation {
-            rule: "kernel-table",
-            file: MOD.into(),
-            line: 0,
-            msg: "could not parse `enum KernelId` variants".into(),
-        });
-        return out;
-    }
-    let all_block = sh
-        .code
-        .find("ALL")
-        .and_then(|p| {
-            // Skip the type annotation's `[KernelId; N]`: the variant
-            // list is the bracket after the `=`.
-            let tail = &sh.code[p..];
-            let eq = tail.find('=')?;
-            let open = eq + tail[eq..].find('[')?;
-            let close = open + tail[open..].find(']')?;
-            Some(tail[open..close].to_string())
-        })
-        .unwrap_or_default();
-    let work_unit_block = sh
-        .code
-        .find("fn work_unit")
-        .and_then(|p| brace_block(&sh, p))
-        .unwrap_or_default();
-    for v in &variants {
-        if !word_on_line(&all_block, v) {
-            out.push(Violation {
-                rule: "kernel-table",
-                file: MOD.into(),
-                line: 0,
-                msg: format!("KernelId::{v} missing from the `ALL` registration table"),
-            });
-        }
-        if !word_on_line(work_unit_block, v) {
-            out.push(Violation {
-                rule: "kernel-table",
-                file: MOD.into(),
-                line: 0,
-                msg: format!("KernelId::{v} has no `work_unit` arm"),
             });
         }
     }
@@ -797,7 +679,7 @@ pub fn cli_readme_sync(ws: &Workspace) -> Vec<Violation> {
     let sh = bin.shadows();
     let mut out = Vec::new();
 
-    let mut subs = cli_subcommands(&bin.text, &sh);
+    let mut subs = cli_subcommands(&bin.text, sh);
     subs.sort();
     subs.dedup();
     if subs.is_empty() {
@@ -837,110 +719,6 @@ pub fn cli_readme_sync(ws: &Workspace) -> Vec<Violation> {
     out
 }
 
-// --- dp-engine-help ----------------------------------------------------
-
-/// The module holding `prepare_dp`, the engine-aware kernel dispatch.
-const KERNELS_MOD: &str = "crates/suite/src/kernels/mod.rs";
-
-/// Kernels with an engine-aware `prepare_dp` arm: inside the
-/// `fn prepare_dp` block, every line that both names a `KernelId::`
-/// variant and calls `prepare_with` with the `engine` value. Returned
-/// lowercase — the spelling the CLI and manifests use.
-fn dp_engine_kernels(sh: &Shadows) -> Vec<String> {
-    let Some(pos) = sh.code.find("fn prepare_dp") else {
-        return Vec::new();
-    };
-    let Some(block) = brace_block(sh, pos) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for line in block.lines() {
-        if !(line.contains("prepare_with") && word_on_line(line, "engine")) {
-            continue;
-        }
-        let Some(at) = line.find("KernelId::") else {
-            continue;
-        };
-        let rest = &line[at + "KernelId::".len()..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-            .unwrap_or(rest.len());
-        if end > 0 {
-            out.push(rest[..end].to_ascii_lowercase());
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// The `--dp-engine` description paragraph of the CLI usage text: the
-/// first line whose trimmed text starts with `--dp-engine` (synopsis
-/// lines like `[--dp-engine E]` start with `genomicsbench`, so they
-/// don't match), plus its continuation lines up to the next flag or
-/// quoted-subcommand paragraph.
-fn dp_engine_paragraph(cli_text: &str) -> Option<String> {
-    let mut lines = cli_text.lines();
-    let first = lines.find(|l| l.trim_start().starts_with("--dp-engine"))?;
-    let mut para = first.to_string();
-    for l in lines {
-        let t = l.trim_start();
-        if t.is_empty() || t.starts_with("--") || t.starts_with('\'') || t.starts_with('"') {
-            break;
-        }
-        para.push('\n');
-        para.push_str(l);
-    }
-    Some(para)
-}
-
-/// Every kernel `prepare_dp` dispatches by engine must be named in the
-/// `--dp-engine` help paragraph — porting a kernel onto the engine
-/// layer without telling the user it exists leaves the flag's roster
-/// silently stale.
-pub fn dp_engine_help(ws: &Workspace) -> Vec<Violation> {
-    let violation = |file: &str, msg: String| Violation {
-        rule: "dp-engine-help",
-        file: file.into(),
-        line: 0,
-        msg,
-    };
-    let Some(kernels_mod) = ws.get(KERNELS_MOD) else {
-        return vec![violation(KERNELS_MOD, "kernel table module missing".into())];
-    };
-    let Some(bin) = ws.get(CLI_BIN) else {
-        return vec![violation(CLI_BIN, "CLI binary source missing".into())];
-    };
-    let kernels = dp_engine_kernels(kernels_mod.shadows());
-    if kernels.is_empty() {
-        return vec![violation(
-            KERNELS_MOD,
-            "could not parse any engine-aware arm from `fn prepare_dp`".into(),
-        )];
-    }
-    // The usage text is a string literal, so the paragraph comes from
-    // the raw source, not the code shadow.
-    let Some(para) = dp_engine_paragraph(&bin.text) else {
-        return vec![violation(
-            CLI_BIN,
-            "usage text has no `--dp-engine` description paragraph".into(),
-        )];
-    };
-    kernels
-        .iter()
-        .filter(|k| !word_on_line(&para, k))
-        .map(|k| {
-            violation(
-                CLI_BIN,
-                format!(
-                    "kernel `{k}` has an engine-aware `prepare_dp` arm but is not named \
-                     in the `--dp-engine` help paragraph"
-                ),
-            )
-        })
-        .collect()
-}
-
 // --- marker-attached ---------------------------------------------------
 
 /// Every analyzer marker comment must be an own-line comment directly
@@ -964,15 +742,15 @@ pub fn marker_attached(ws: &Workspace) -> Vec<Violation> {
                 // Walk down to the next effective code line; it must
                 // declare a `fn`.
                 ok = false;
-                for j in i + 1..code.len() {
-                    let t = code[j].trim();
+                for line in code.iter().skip(i + 1) {
+                    let t = line.trim();
                     if t.is_empty() {
                         continue;
                     }
                     if t.starts_with("#[") || t.starts_with("#![") {
                         continue;
                     }
-                    ok = crate::parse::fn_decl_name(code[j]).is_some();
+                    ok = crate::parse::fn_decl_name(line).is_some();
                     break;
                 }
             }
@@ -1120,39 +898,6 @@ mod tests {
         // Missing declaration is itself a violation.
         let missing = ws(&[("README.md", "substrate schema 3\n")]);
         assert_eq!(substrate_schema(&missing).len(), 1);
-    }
-
-    const KERNELS_OK: &str = r#"
-pub enum KernelId {
-    Fmi,
-    Bsw,
-}
-impl KernelId {
-    pub const ALL: [KernelId; 2] = [KernelId::Fmi, KernelId::Bsw];
-
-    pub fn work_unit(self) -> &'static str {
-        match self {
-            KernelId::Fmi => "queries",
-            KernelId::Bsw => "cells",
-        }
-    }
-}
-"#;
-
-    #[test]
-    fn kernel_table_catches_unregistered_variant() {
-        let good = ws(&[("crates/suite/src/kernels/mod.rs", KERNELS_OK)]);
-        assert!(kernel_table(&good).is_empty());
-
-        let missing = KERNELS_OK.replace("[KernelId::Fmi, KernelId::Bsw]", "[KernelId::Fmi]");
-        let v = kernel_table(&ws(&[("crates/suite/src/kernels/mod.rs", &missing)]));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].msg.contains("Bsw") && v[0].msg.contains("ALL"));
-
-        let no_unit = KERNELS_OK.replace("            KernelId::Bsw => \"cells\",\n", "");
-        let v = kernel_table(&ws(&[("crates/suite/src/kernels/mod.rs", &no_unit)]));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].msg.contains("work_unit"));
     }
 
     #[test]
@@ -1446,101 +1191,13 @@ fn run(args: &[String]) -> Result<(), String> {
         assert!(v.is_empty(), "{v:?}");
     }
 
-    const PREPARE_DP_OK: &str = r#"
-pub fn prepare_dp(id: KernelId, size: DatasetSize, engine: DpEngine) -> Box<dyn Kernel> {
-    match id {
-        KernelId::Bsw => Box::new(bsw::BswKernel::prepare_with(size, engine)),
-        KernelId::Spoa => Box::new(spoa::SpoaKernel::prepare_with(size, engine)),
-        _ => prepare(id, size),
-    }
-}
-"#;
-
-    const DP_USAGE_OK: &str = r#"
-const USAGE: &str = "usage:
-  genomicsbench run [kernels|all] [--dp-engine E]
-
-    --dp-engine picks the execution engine of the DP-motif kernels —
-      bsw, spoa: 'simd' (default) or 'scalar'.
-    --flame writes a collapsed-stack file.
-";
-"#;
-
-    fn dp_ws(kernels: &str, cli: &str) -> Workspace {
-        ws(&[
-            ("crates/suite/src/kernels/mod.rs", kernels),
-            ("crates/suite/src/bin/genomicsbench.rs", cli),
-        ])
-    }
-
-    #[test]
-    fn dp_engine_help_passes_when_roster_is_current() {
-        let v = dp_engine_help(&dp_ws(PREPARE_DP_OK, DP_USAGE_OK));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn dp_engine_help_catches_a_kernel_missing_from_the_paragraph() {
-        // A newly ported kernel whose help text still lists the old
-        // roster: the `--dp-engine` paragraph never mentions `spoa`.
-        let stale = DP_USAGE_OK.replace("bsw, spoa:", "bsw:");
-        let v = dp_engine_help(&dp_ws(PREPARE_DP_OK, &stale));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "dp-engine-help");
-        assert!(v[0].msg.contains("`spoa`"));
-
-        // The synopsis `[--dp-engine E]` alone is not a description
-        // paragraph.
-        let no_para = r#"
-const USAGE: &str = "usage:
-  genomicsbench run [kernels|all] [--dp-engine E]
-";
-"#;
-        let v = dp_engine_help(&dp_ws(PREPARE_DP_OK, no_para));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].msg.contains("no `--dp-engine`"));
-    }
-
-    #[test]
-    fn dp_engine_help_only_counts_engine_aware_arms() {
-        // `Phmm` is in the match but takes the engine-less `prepare`
-        // path, so the paragraph need not (and does not) name it.
-        let mixed = PREPARE_DP_OK.replace(
-            "        _ => prepare(id, size),",
-            "        KernelId::Phmm => prepare(id, size),\n        _ => prepare(id, size),",
-        );
-        let v = dp_engine_help(&dp_ws(&mixed, DP_USAGE_OK));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn the_real_cli_passes_the_dp_engine_help_lint() {
-        let read = |rel: &str| {
-            std::fs::read_to_string(format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR")))
-                .unwrap_or_else(|e| panic!("{rel} readable: {e}"))
-        };
-        let real = ws(&[
-            (
-                "crates/suite/src/kernels/mod.rs",
-                &read("crates/suite/src/kernels/mod.rs"),
-            ),
-            (
-                "crates/suite/src/bin/genomicsbench.rs",
-                &read("crates/suite/src/bin/genomicsbench.rs"),
-            ),
-        ]);
-        let v = dp_engine_help(&real);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
     #[test]
     fn run_all_aggregates() {
         let bad = ws(&[("crates/x/src/a.rs", "fn f() { unsafe { g() } }\n")]);
         let v = run_all(&bad);
         assert!(v.iter().any(|x| x.rule == "safety-comments"));
-        // Missing manifest/kernels/bench/CLI files also surface as findings.
+        // Missing manifest/bench/CLI files also surface as findings.
         assert!(v.iter().any(|x| x.rule == "schema-version"));
-        assert!(v.iter().any(|x| x.rule == "kernel-table"));
         assert!(v.iter().any(|x| x.rule == "bench-ci"));
         assert!(v.iter().any(|x| x.rule == "cli-readme-sync"));
     }

@@ -4,10 +4,9 @@
 //!
 //! * `lint` — run the repo's token-level policy checks (safety
 //!   comments, relaxed-ordering allowlist, schema-version/doc
-//!   agreement, kernel registration table, bench-CI wiring, justified
-//!   lint allows, per-crate unsafe hygiene, unique collapsed-stack-safe
-//!   traced-stage names, CLI/README surface sync, attached analyzer
-//!   markers). Exits non-zero with one line per violation. See
+//!   agreement, bench-CI wiring, justified lint allows, per-crate
+//!   unsafe hygiene, unique collapsed-stack-safe traced-stage names,
+//!   CLI/README surface sync, attached analyzer markers). Exits non-zero with one line per violation. See
 //!   `src/lints.rs` for the rules and DESIGN.md for the policy.
 //! * `analyze` — run the call-graph reachability rules (panic-freedom
 //!   of kernel entry paths, allocation-freedom of `xtask: hot` loops,
@@ -74,7 +73,7 @@ fn run_lint(ws: &Workspace) -> Vec<Violation> {
     let violations = lints::run_all(ws);
     if violations.is_empty() {
         println!(
-            "xtask lint: OK ({} files, 12 rules, 0 violations)",
+            "xtask lint: OK ({} files, 10 rules, 0 violations)",
             ws.files.len()
         );
     }
