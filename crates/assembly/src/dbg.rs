@@ -86,17 +86,14 @@ impl Dbg {
 
     fn node_of<P: Probe>(&mut self, kmer: u64, probe: &mut P) -> usize {
         self.lookups += 1;
-        match self.table.get_probed(kmer, probe) {
-            Some(idx) => idx as usize,
-            None => {
-                let idx = self.kmers.len() as u32;
-                self.table.set(kmer, idx);
-                self.kmers.push(kmer);
-                self.edges.push([0; 4]);
-                self.ref_edge.push([false; 4]);
-                idx as usize
-            }
+        let next = self.kmers.len() as u32;
+        let (idx, new) = self.table.get_or_insert_probed(kmer, next, probe);
+        if new {
+            self.kmers.push(kmer);
+            self.edges.push([0; 4]);
+            self.ref_edge.push([false; 4]);
         }
+        idx as usize
     }
 
     /// Threads `seq` through the graph, incrementing edge support.

@@ -6,13 +6,33 @@
 //! LLC, with no spatial locality (a 1–2 byte counter per 64-byte line)
 //! and, naively, no temporal overlap — the paper measures it as the most
 //! memory-bound kernel of the suite (484 BPKI, 86.6% memory-bound
-//! pipeline slots) and suggests software prefetching since upcoming keys
-//! are known in advance; [`count_kmers_prefetched`] implements that
-//! ablation.
+//! pipeline slots) and suggests touching the table ahead of the updates,
+//! since upcoming keys are known in advance.
+//!
+//! There is one counting routine, and three ways in that differ only in
+//! how many keys are gathered before the table sees them:
+//!
+//! - [`count_kmers`] is **the kernel**: keys go to
+//!   [`KmerTable::add_batch`] [`BATCH`] at a time, which reads every home
+//!   slot of the batch before updating any, so the misses overlap.
+//! - [`count_kmers_probed`] is the **paper-faithful characterisation
+//!   path**: a window of one, i.e. one dependent update after another,
+//!   the program the paper profiled and the one the simulated hierarchy
+//!   is fed.
+//! - [`count_kmers_prefetched`] takes the window from its caller, for the
+//!   ablation over window sizes.
+//!
+//! All three roll the canonical k-mer in O(1) per base
+//! ([`DnaSeq::canonical_kmers`]) and build the table once, for the number
+//! of k-mers in the input — an upper bound on the distinct ones, and for
+//! noisy long reads a tight one — so counting never rehashes.
 
 use crate::kmer_table::{KmerTable, Probing};
-use gb_core::seq::{canonical_kmer, DnaSeq};
+use gb_core::seq::DnaSeq;
 use gb_uarch::probe::{NullProbe, Probe};
+
+/// Keys the kernel gathers before the table touches and updates them.
+pub const BATCH: usize = 32;
 
 /// Parameters for a counting run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,94 +85,87 @@ pub struct KmerCountStats {
 ///
 /// Panics if `params.k` is 0 or greater than 31.
 pub fn count_kmers(reads: &[DnaSeq], params: &KmerCountParams) -> (KmerTable, KmerCountStats) {
-    count_kmers_probed(reads, params, &mut NullProbe)
+    count_with(reads, params, BATCH, &mut NullProbe)
 }
 
-/// [`count_kmers`] with instrumentation.
-// PANIC-FREE: the `k` range assert is the documented API contract;
-// everything else is iterator-driven.
+/// [`count_kmers`] one update at a time, with instrumentation: the access
+/// pattern the paper characterises (every update waits for its own miss).
 pub fn count_kmers_probed<P: Probe>(
     reads: &[DnaSeq],
     params: &KmerCountParams,
     probe: &mut P,
 ) -> (KmerTable, KmerCountStats) {
-    assert!(params.k > 0 && params.k <= 31, "k must be in 1..=31");
-    let total: usize = reads
-        .iter()
-        .map(|r| r.len().saturating_sub(params.k - 1))
-        .sum();
-    let mut table = KmerTable::with_capacity(total / 2 + 16, params.probing);
-    let mut stats = KmerCountStats::default();
-    for read in reads {
-        for (_, kmer) in read.kmers(params.k) {
-            let key = if params.canonical {
-                canonical_kmer(kmer, params.k)
-            } else {
-                kmer
-            };
-            probe.int_ops(if params.canonical {
-                2 + params.k as u64
-            } else {
-                2
-            });
-            table.insert_or_add_probed(key, 1, probe);
-            stats.kmers_processed += 1;
-            probe.branch(true);
-        }
-    }
-    stats.distinct = table.len();
-    stats.table_bytes = table.heap_bytes();
-    (table, stats)
+    count_with(reads, params, 1, probe)
 }
 
-/// [`count_kmers`] with a software-prefetch window: each k-mer's home
-/// slot is touched `window` iterations ahead of its update, hiding the
-/// DRAM latency of the update itself (the paper's §IV-F suggestion).
+/// [`count_kmers`] with a caller-chosen window: the home slots of `window`
+/// k-mers are touched before the first of them is updated, hiding the
+/// DRAM latency of the updates (the paper's §IV-F suggestion).
 ///
 /// On the simulated hierarchy this converts demand misses into hits; on
 /// real hardware the early touch serves the same role as a prefetch
-/// instruction.
+/// instruction. Windows above [`KmerTable::MAX_BATCH`] are touched in
+/// chunks of that size.
+///
+/// # Panics
+///
+/// Panics if `window` is 0, or `params.k` is 0 or greater than 31.
 pub fn count_kmers_prefetched<P: Probe>(
     reads: &[DnaSeq],
     params: &KmerCountParams,
     window: usize,
     probe: &mut P,
 ) -> (KmerTable, KmerCountStats) {
-    assert!(params.k > 0 && params.k <= 31, "k must be in 1..=31");
+    count_with(reads, params, window, probe)
+}
+
+/// Integer operations the probe is told of per k-mer: rolling the forward
+/// word (shift-or, mask), and for a canonical key the reverse-complement
+/// word (shift, complement, shift, or) and the minimum (compare, select).
+const FORWARD_OPS: u64 = 2;
+const CANONICAL_OPS: u64 = FORWARD_OPS + 6;
+
+/// The counting routine: gathers `window` keys, then hands them to the
+/// table together.
+// PANIC-FREE: the `k` range and window asserts are the documented API
+// contract; everything else is iterator-driven.
+fn count_with<P: Probe>(
+    reads: &[DnaSeq],
+    params: &KmerCountParams,
+    window: usize,
+    probe: &mut P,
+) -> (KmerTable, KmerCountStats) {
+    let k = params.k;
+    assert!(k > 0 && k <= 31, "k must be in 1..=31");
     assert!(window > 0, "prefetch window must be positive");
-    let total: usize = reads
-        .iter()
-        .map(|r| r.len().saturating_sub(params.k - 1))
-        .sum();
-    let mut table = KmerTable::with_capacity(total / 2 + 16, params.probing);
+    let total: usize = reads.iter().map(|r| r.len().saturating_sub(k - 1)).sum();
+    // Every k-mer could be distinct: sized for that, the table never grows.
+    let mut table = KmerTable::with_capacity(total, params.probing);
     let mut stats = KmerCountStats::default();
-    let mut pending: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
+    let mut pending: Vec<u64> = Vec::with_capacity(window.min(total));
+    let key_ops = if params.canonical {
+        CANONICAL_OPS
+    } else {
+        FORWARD_OPS
+    };
+    let mut count = |key: u64| {
+        probe.int_ops(key_ops);
+        pending.push(key);
+        stats.kmers_processed += 1;
+        if pending.len() == window {
+            table.add_batch_probed(&pending, probe);
+            pending.clear();
+        }
+        probe.branch(true);
+    };
     for read in reads {
-        for (_, kmer) in read.kmers(params.k) {
-            let key = if params.canonical {
-                canonical_kmer(kmer, params.k)
-            } else {
-                kmer
-            };
-            probe.int_ops(if params.canonical {
-                2 + params.k as u64
-            } else {
-                2
-            });
-            // Prefetch: touch the home slot of the key `window` ahead.
-            probe.load(table.home_slot_addr(key), 8);
-            pending.push_back(key);
-            if pending.len() > window {
-                let due = pending.pop_front().expect("non-empty");
-                table.insert_or_add_probed(due, 1, probe);
-                stats.kmers_processed += 1;
-            }
+        if params.canonical {
+            read.canonical_kmers(k).for_each(|(_, key)| count(key));
+        } else {
+            read.kmers(k).for_each(|(_, key)| count(key));
         }
     }
-    for due in pending {
-        table.insert_or_add_probed(due, 1, probe);
-        stats.kmers_processed += 1;
-    }
+    table.add_batch_probed(&pending, probe);
     stats.distinct = table.len();
     stats.table_bytes = table.heap_bytes();
     (table, stats)
@@ -172,6 +185,7 @@ pub fn count_histogram(table: &KmerTable, max_count: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_core::seq::canonical_kmer;
     use std::collections::BTreeMap;
 
     fn reads(seed: u64, n: usize, len: usize) -> Vec<DnaSeq> {
@@ -247,6 +261,98 @@ mod tests {
         let a: BTreeMap<u64, u32> = plain.iter().collect();
         let b: BTreeMap<u64, u32> = pf.iter().collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_window_matches_the_oracle() {
+        for total in [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3] {
+            for canonical in [false, true] {
+                // k = 3 repeats keys inside a batch, k = 11 hardly ever does.
+                for k in [3usize, 11] {
+                    let rs = reads(total as u64 + 1, 1, total + k - 1);
+                    let want = naive_counts(&rs, k, canonical);
+                    for probing in [Probing::Linear, Probing::RobinHood] {
+                        let p = KmerCountParams {
+                            k,
+                            probing,
+                            canonical,
+                        };
+                        for window in [1, 2, 31, 32, 33, 64] {
+                            let (table, stats) = count_with(&rs, &p, window, &mut NullProbe);
+                            let ctx = format!("total {total} {p:?} window {window}");
+                            assert_eq!(stats.kmers_processed, total as u64, "{ctx}");
+                            assert_eq!(stats.distinct, want.len(), "{ctx}");
+                            let got: BTreeMap<u64, u32> = table.iter().collect();
+                            assert_eq!(got, want, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windows_agree_across_many_reads() {
+        // Batches straddle read boundaries; some reads are shorter than k.
+        let mut rs = reads(21, 40, 57);
+        rs.extend(reads(22, 5, 6));
+        rs.extend(reads(23, 3, 9));
+        for canonical in [false, true] {
+            let p = KmerCountParams {
+                k: 9,
+                canonical,
+                ..Default::default()
+            };
+            let want = naive_counts(&rs, 9, canonical);
+            for window in [1, 5, BATCH, 1000] {
+                let (table, stats) = count_with(&rs, &p, window, &mut NullProbe);
+                assert_eq!(
+                    stats.kmers_processed,
+                    want.values().map(|&c| c as u64).sum()
+                );
+                assert_eq!(table.iter().collect::<BTreeMap<u64, u32>>(), want);
+            }
+        }
+    }
+
+    #[test]
+    fn counting_never_rehashes() {
+        // Random 17-mers are all distinct: the worst case for the sizing.
+        let rs = reads(13, 10, 500);
+        for probing in [Probing::Linear, Probing::RobinHood] {
+            let p = KmerCountParams {
+                probing,
+                ..Default::default()
+            };
+            let (table, stats) = count_kmers(&rs, &p);
+            assert_eq!(stats.distinct as u64, stats.kmers_processed);
+            let built = KmerTable::with_capacity(stats.distinct, probing);
+            assert_eq!(table.num_slots(), built.num_slots());
+        }
+    }
+
+    #[test]
+    fn the_probe_is_told_a_constant_cost_per_kmer() {
+        use gb_uarch::mix::MixProbe;
+        let ops = |k: usize, canonical: bool| {
+            // 100 poly-A k-mers: one key, whatever `k` and `canonical` are,
+            // so the table's share of the operations is the same each time.
+            let rs = [DnaSeq::from_codes_unchecked(vec![0; k + 99])];
+            let p = KmerCountParams {
+                k,
+                canonical,
+                ..Default::default()
+            };
+            let mut probe = MixProbe::new();
+            let _ = count_kmers_probed(&rs, &p, &mut probe);
+            probe.mix().int_ops
+        };
+        // Longer k-mers cost no more to canonicalise.
+        assert_eq!(ops(21, true), ops(31, true));
+        assert_eq!(
+            ops(21, true) - ops(21, false),
+            100 * (CANONICAL_OPS - FORWARD_OPS)
+        );
     }
 
     #[test]

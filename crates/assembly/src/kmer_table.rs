@@ -9,6 +9,15 @@
 //! suggests robin-hood hashing as a mitigation; both probing disciplines
 //! are implemented so the ablation bench can compare them.
 //!
+//! Every operation walks **one** probe sequence ([`KmerTable::get`] reads
+//! along it, everything else goes through one find-or-insert routine).
+//! Two ways in for a counter update: [`KmerTable::insert_or_add`], one key
+//! at a time — the access pattern the paper characterises, and what the
+//! simulated hierarchy is fed — and [`KmerTable::add_batch`], the path the
+//! kmer-cnt kernel takes: the home slots of a batch of keys are all read
+//! first, so their cache misses overlap, and only then updated (the
+//! paper's §IV-F remedy, "upcoming keys are known").
+//!
 //! Keys must be strictly below [`EMPTY_KEY`]; packed k-mers with
 //! `k <= 31` always are.
 
@@ -45,18 +54,30 @@ pub struct KmerTable {
     keys: Vec<u64>,
     values: Vec<u32>,
     len: usize,
+    /// Most keys the table holds before it doubles: 0.7 of the slots,
+    /// rounded down, so the load check is one integer compare.
+    max_len: usize,
     probing: Probing,
 }
 
 impl KmerTable {
-    /// Creates a table sized for at least `capacity` entries at a 0.7
-    /// load factor.
+    /// Most keys [`KmerTable::add_batch`] touches ahead of their updates;
+    /// a longer slice is worked through in chunks of this size.
+    pub const MAX_BATCH: usize = 64;
+
+    /// Creates a table that holds `capacity` entries without growing
+    /// (0.7 load factor, power-of-two slot count).
     pub fn with_capacity(capacity: usize, probing: Probing) -> KmerTable {
-        let slots = (capacity.max(8) * 10 / 7).next_power_of_two();
+        let slots = (capacity.max(8) * 10).div_ceil(7).next_power_of_two();
+        KmerTable::with_slots(slots, probing)
+    }
+
+    fn with_slots(slots: usize, probing: Probing) -> KmerTable {
         KmerTable {
             keys: vec![EMPTY_KEY; slots],
             values: vec![0; slots],
             len: 0,
+            max_len: slots * 7 / 10,
             probing,
         }
     }
@@ -101,15 +122,8 @@ impl KmerTable {
         slot.wrapping_sub(home) & (self.keys.len() - 1)
     }
 
-    /// The slot a lookup of `key` would first touch — exposed so callers
-    /// can model software prefetching (see the kmer-cnt ablation).
-    #[inline]
-    pub fn home_slot_addr(&self, key: u64) -> u64 {
-        addr_of(&self.keys[self.hash(key)])
-    }
-
     /// Adds `delta` to `key`'s value (inserting it at 0 first), returning
-    /// the new value. Resizes at 0.7 load.
+    /// the new value; a counter stops at `u32::MAX`. Resizes at 0.7 load.
     ///
     /// # Panics
     ///
@@ -121,62 +135,63 @@ impl KmerTable {
     /// [`KmerTable::insert_or_add`] with instrumentation: one load per
     /// probed slot (8-byte key), one store for the 4-byte value update —
     /// exactly the traffic pattern the paper characterizes.
-    // PANIC-FREE: the sentinel assert is the documented API contract; slot
-    // arithmetic is masked to the power-of-two table size.
     pub fn insert_or_add_probed<P: Probe>(&mut self, key: u64, delta: u32, probe: &mut P) -> u32 {
-        assert_ne!(key, EMPTY_KEY, "key collides with the empty sentinel");
-        if (self.len + 1) as f64 > 0.7 * self.keys.len() as f64 {
-            self.grow();
+        let (slot, _) = self.entry(key, probe);
+        self.bump(slot, delta, probe)
+    }
+
+    /// Adds 1 to the value of every key of `keys`, in order, as
+    /// `insert_or_add(key, 1)` for each would — but a chunk (at most
+    /// [`KmerTable::MAX_BATCH`] keys) at a time: hash every key of the
+    /// chunk, read every home slot with loads that do not depend on one
+    /// another, and only then walk the probe sequences, against cache
+    /// lines that are already on their way. The table makes room for a
+    /// whole chunk before touching it, so it may double a few keys
+    /// earlier than one-at-a-time insertion would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a key equals `EMPTY_KEY`.
+    pub fn add_batch(&mut self, keys: &[u64]) {
+        self.add_batch_probed(keys, &mut NullProbe);
+    }
+
+    /// [`KmerTable::add_batch`] with instrumentation: one load per touched
+    /// home slot, then what [`KmerTable::insert_or_add_probed`] reports.
+    // xtask: hot
+    // PANIC-FREE: the sentinel assert is the documented API contract;
+    // `homes` holds masked hashes, and `zip` bounds the scratch arrays by
+    // the chunk, itself at most `MAX_BATCH` long.
+    pub fn add_batch_probed<P: Probe>(&mut self, keys: &[u64], probe: &mut P) {
+        if let [key] = *keys {
+            // Nothing to overlap with: the one-at-a-time path.
+            self.insert_or_add_probed(key, 1, probe);
+            return;
         }
-        let mask = self.keys.len() - 1;
-        let mut slot = self.hash(key);
-        let mut cur_key = key;
-        let mut cur_val = 0u32; // value carried while displacing (robin hood)
-        let mut result: Option<u32> = None;
-        loop {
-            probe.load(addr_of(&self.keys[slot]), 8);
-            probe.int_ops(3);
-            let k = self.keys[slot];
-            if k == EMPTY_KEY {
-                self.keys[slot] = cur_key;
-                let v = if cur_key == key {
-                    cur_val + delta
+        let mut homes = [0usize; Self::MAX_BATCH];
+        let mut touched = [EMPTY_KEY; Self::MAX_BATCH];
+        for chunk in keys.chunks(Self::MAX_BATCH) {
+            // No slot may move between the touches and the updates.
+            self.make_room(chunk.len());
+            for ((&key, home), resident) in chunk.iter().zip(&mut homes).zip(&mut touched) {
+                assert_ne!(key, EMPTY_KEY, "key collides with the empty sentinel");
+                *home = self.hash(key);
+                *resident = self.keys[*home];
+                probe.load(addr_of(&self.keys[*home]), 8);
+            }
+            for ((&key, &home), &resident) in chunk.iter().zip(&homes).zip(&touched) {
+                probe.int_ops(1);
+                // A touch goes stale as soon as an earlier key of the chunk
+                // lands in that slot, so all it can prove is that `key` was
+                // already there — and under linear probing residents never
+                // move, so it still is.
+                let slot = if resident == key && self.probing == Probing::Linear {
+                    home
                 } else {
-                    cur_val
+                    self.find_or_insert(key, home, probe).0
                 };
-                self.values[slot] = v;
-                probe.store(addr_of(&self.values[slot]), 4);
-                probe.store(addr_of(&self.keys[slot]), 8);
-                self.len += 1;
-                return result.unwrap_or(v);
+                self.bump(slot, 1, probe);
             }
-            if k == cur_key {
-                debug_assert_eq!(cur_key, key, "displaced key can never match a resident key");
-                self.values[slot] += delta;
-                probe.store(addr_of(&self.values[slot]), 4);
-                return self.values[slot];
-            }
-            if self.probing == Probing::RobinHood {
-                let resident_disp = self.displacement(k, slot);
-                let probing_disp = self.displacement(cur_key, slot);
-                probe.int_ops(4);
-                if probing_disp > resident_disp {
-                    // Rob the rich: swap the carried entry in.
-                    let v = if cur_key == key {
-                        result = Some(cur_val + delta);
-                        cur_val + delta
-                    } else {
-                        cur_val
-                    };
-                    std::mem::swap(&mut self.keys[slot], &mut cur_key);
-                    let old_v = self.values[slot];
-                    self.values[slot] = v;
-                    cur_val = old_v;
-                    probe.store(addr_of(&self.values[slot]), 12);
-                }
-            }
-            slot = (slot + 1) & mask;
-            probe.branch(true);
         }
     }
 
@@ -217,22 +232,39 @@ impl KmerTable {
         }
     }
 
-    /// Sets `key` to `value` exactly (used by the dbg node map).
-    // PANIC-FREE: `insert_or_add` guarantees the key is resident, so the
-    // masked probe loop terminates at it.
-    pub fn set(&mut self, key: u64, value: u32) {
-        // Remove-then-add semantics are unnecessary: insert_or_add with
-        // delta 0 locates/creates the slot, then we overwrite.
-        self.insert_or_add(key, 0);
-        let mask = self.keys.len() - 1;
-        let mut slot = self.hash(key);
-        loop {
-            if self.keys[slot] == key {
-                self.values[slot] = value;
-                return;
-            }
-            slot = (slot + 1) & mask;
+    /// `key`'s value if it has one; otherwise stores `value` for it. Returns
+    /// the value now stored and whether it was just inserted (how the dbg
+    /// node map numbers a k-mer the first time it sees it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key == EMPTY_KEY`.
+    // PANIC-FREE: `entry` returns a slot of this table.
+    pub fn get_or_insert_probed<P: Probe>(
+        &mut self,
+        key: u64,
+        value: u32,
+        probe: &mut P,
+    ) -> (u32, bool) {
+        let (slot, inserted) = self.entry(key, probe);
+        if inserted {
+            self.values[slot] = value;
+            probe.store(addr_of(&self.values[slot]), 4);
+        } else {
+            probe.load(addr_of(&self.values[slot]), 4);
         }
+        (self.values[slot], inserted)
+    }
+
+    /// Sets `key` to `value` exactly, inserting it if absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key == EMPTY_KEY`.
+    // PANIC-FREE: `entry` returns a slot of this table.
+    pub fn set(&mut self, key: u64, value: u32) {
+        let (slot, _) = self.entry(key, &mut NullProbe);
+        self.values[slot] = value;
     }
 
     /// Iterates over `(key, value)` pairs in table order.
@@ -254,15 +286,92 @@ impl KmerTable {
             .unwrap_or(0)
     }
 
+    /// The slot holding `key`, inserted with value 0 if it was absent, and
+    /// whether it was; grows first if one more key would pass 0.7 load.
+    // PANIC-FREE: the sentinel assert is the documented API contract.
+    fn entry<P: Probe>(&mut self, key: u64, probe: &mut P) -> (usize, bool) {
+        assert_ne!(key, EMPTY_KEY, "key collides with the empty sentinel");
+        self.make_room(1);
+        self.find_or_insert(key, self.hash(key), probe)
+    }
+
+    /// Doubles until `extra` more keys fit under 0.7 load.
+    #[inline]
+    fn make_room(&mut self, extra: usize) {
+        while self.len + extra > self.max_len {
+            self.grow();
+        }
+    }
+
+    /// Adds `delta` to the counter in `slot`, stopping at `u32::MAX`.
+    // PANIC-FREE: every caller passes a slot `find_or_insert` returned or a
+    // masked hash.
+    #[inline]
+    fn bump<P: Probe>(&mut self, slot: usize, delta: u32, probe: &mut P) -> u32 {
+        let v = self.values[slot].saturating_add(delta);
+        self.values[slot] = v;
+        probe.store(addr_of(&self.values[slot]), 4);
+        v
+    }
+
+    /// The one probe sequence every mutation walks: from `home` (the
+    /// caller's `hash(key)`) to the slot holding `key`, which is inserted
+    /// with value 0 if the sequence ends at an empty slot first. Returns
+    /// that slot and whether the key is new. The caller has made room.
+    // xtask: hot
+    // PANIC-FREE: slot arithmetic is masked to the power-of-two table size,
+    // and below 0.7 load the sequence reaches an empty slot.
+    #[inline]
+    fn find_or_insert<P: Probe>(&mut self, key: u64, home: usize, probe: &mut P) -> (usize, bool) {
+        let mask = self.keys.len() - 1;
+        let mut slot = home;
+        // Robin hood: the entry carried along once `key` has taken a
+        // richer resident's slot, and where `key` went.
+        let mut cur_key = key;
+        let mut cur_val = 0u32;
+        let mut placed: Option<usize> = None;
+        loop {
+            probe.load(addr_of(&self.keys[slot]), 8);
+            probe.int_ops(3);
+            let k = self.keys[slot];
+            if k == EMPTY_KEY {
+                self.keys[slot] = cur_key;
+                self.values[slot] = cur_val;
+                probe.store(addr_of(&self.keys[slot]), 8);
+                self.len += 1;
+                return (placed.unwrap_or(slot), true);
+            }
+            if k == cur_key {
+                debug_assert_eq!(cur_key, key, "displaced key can never match a resident key");
+                return (slot, false);
+            }
+            if self.probing == Probing::RobinHood {
+                let resident_disp = self.displacement(k, slot);
+                let probing_disp = self.displacement(cur_key, slot);
+                probe.int_ops(4);
+                if probing_disp > resident_disp {
+                    // Rob the rich: swap the carried entry in.
+                    std::mem::swap(&mut self.keys[slot], &mut cur_key);
+                    std::mem::swap(&mut self.values[slot], &mut cur_val);
+                    placed.get_or_insert(slot);
+                    probe.store(addr_of(&self.values[slot]), 12);
+                }
+            }
+            slot = (slot + 1) & mask;
+            probe.branch(true);
+        }
+    }
+
+    /// Doubles the table, re-inserting every entry with one probe sequence.
+    // ALLOC-OK: the amortised slow path; a table built for its key count
+    // (as the kmer-cnt kernel's is) never takes it.
+    // PANIC-FREE: `find_or_insert` returns a slot of the new table.
     fn grow(&mut self) {
-        let entries: Vec<(u64, u32)> = self.iter().collect();
-        let new_slots = self.keys.len() * 2;
-        self.keys = vec![EMPTY_KEY; new_slots];
-        self.values = vec![0; new_slots];
-        self.len = 0;
-        for (k, v) in entries {
-            self.insert_or_add(k, 0);
-            self.set(k, v);
+        let doubled = KmerTable::with_slots(self.keys.len() * 2, self.probing);
+        let old = std::mem::replace(self, doubled);
+        for (k, v) in old.iter() {
+            let (slot, _) = self.find_or_insert(k, self.hash(k), &mut NullProbe);
+            self.values[slot] = v;
         }
     }
 }
@@ -346,6 +455,132 @@ mod tests {
         assert_eq!(t.get(9), Some(100));
         t.set(11, 7); // set on a fresh key inserts it
         assert_eq!(t.get(11), Some(7));
+    }
+
+    #[test]
+    fn set_and_get_or_insert_on_a_full_table_grow_first() {
+        for probing in [Probing::Linear, Probing::RobinHood] {
+            let mut t = KmerTable::with_capacity(8, probing);
+            for i in 0..1000u64 {
+                if i % 2 == 0 {
+                    t.set(i * 7 + 3, i as u32);
+                } else {
+                    let got = t.get_or_insert_probed(i * 7 + 3, i as u32, &mut NullProbe);
+                    assert_eq!(got, (i as u32, true));
+                }
+            }
+            assert_eq!(t.len(), 1000);
+            for i in 0..1000u64 {
+                assert_eq!(t.get(i * 7 + 3), Some(i as u32), "{probing:?} key {i}");
+                // A key already there keeps its value and is not new.
+                let again = t.get_or_insert_probed(i * 7 + 3, 9999, &mut NullProbe);
+                assert_eq!(again, (i as u32, false));
+            }
+            assert_eq!(t.len(), 1000);
+        }
+    }
+
+    #[test]
+    fn with_capacity_holds_its_capacity_without_growing() {
+        for capacity in 1..300usize {
+            let mut t = KmerTable::with_capacity(capacity, Probing::Linear);
+            let slots = t.num_slots();
+            for key in 0..capacity as u64 {
+                t.insert_or_add(key, 1);
+            }
+            assert_eq!(t.num_slots(), slots, "capacity {capacity}");
+            assert!(t.load_factor() <= 0.7);
+        }
+    }
+
+    #[test]
+    fn counters_saturate() {
+        for probing in [Probing::Linear, Probing::RobinHood] {
+            let mut t = KmerTable::with_capacity(8, probing);
+            assert_eq!(t.insert_or_add(5, u32::MAX - 1), u32::MAX - 1);
+            assert_eq!(t.insert_or_add(5, 7), u32::MAX);
+            t.add_batch(&[5, 5, 6]);
+            assert_eq!(t.get(5), Some(u32::MAX));
+            assert_eq!(t.get(6), Some(1));
+        }
+    }
+
+    /// `n` distinct keys that all hash to one home slot of `t`.
+    fn sharing_a_home(t: &KmerTable, n: usize) -> Vec<u64> {
+        let home = t.hash(1);
+        (1..).filter(|&k| t.hash(k) == home).take(n).collect()
+    }
+
+    #[test]
+    fn a_touch_gone_stale_inside_the_batch_is_not_trusted() {
+        for probing in [Probing::Linear, Probing::RobinHood] {
+            // The same new key twice: the second touch saw an empty slot
+            // that the first update has filled since.
+            let mut t = KmerTable::with_capacity(100, probing);
+            t.add_batch(&[42, 42]);
+            assert_eq!((t.len(), t.get(42)), (1, Some(2)), "{probing:?}");
+
+            // Keys sharing a home slot: every touch saw it empty; the
+            // first takes it, the others must walk on. Then all again,
+            // against residents (only the first sits in its home slot).
+            let mut t = KmerTable::with_capacity(100, probing);
+            let keys = sharing_a_home(&t, 3);
+            let [a, b, c] = keys[..] else { unreachable!() };
+            t.add_batch(&[a, b, a, c, b, a]);
+            assert_eq!(t.len(), 3, "{probing:?}");
+            assert_eq!(
+                (t.get(a), t.get(b), t.get(c)),
+                (Some(3), Some(2), Some(1)),
+                "{probing:?}"
+            );
+            t.add_batch(&[c, b, a]);
+            assert_eq!((t.get(a), t.get(b), t.get(c)), (Some(4), Some(3), Some(2)));
+        }
+    }
+
+    #[test]
+    fn add_batch_on_a_table_built_too_small_grows_and_stays_correct() {
+        use std::collections::BTreeMap;
+        let mut x = 11u64;
+        let keys: Vec<u64> = (0..20_000)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 40) % 6000
+            })
+            .collect();
+        let mut want: BTreeMap<u64, u32> = BTreeMap::new();
+        for &k in &keys {
+            *want.entry(k).or_insert(0) += 1;
+        }
+        for probing in [Probing::Linear, Probing::RobinHood] {
+            // Slices shorter than, equal to and longer than one chunk.
+            for slice in [1, 7, KmerTable::MAX_BATCH, 3 * KmerTable::MAX_BATCH + 5] {
+                let mut t = KmerTable::with_capacity(8, probing);
+                for part in keys.chunks(slice) {
+                    t.add_batch(part);
+                }
+                assert!(t.num_slots() > 16 && t.load_factor() <= 0.7);
+                let got: BTreeMap<u64, u32> = t.iter().collect();
+                assert_eq!(got, want, "{probing:?} slice {slice}");
+            }
+        }
+    }
+
+    #[test]
+    fn add_batch_reports_one_touch_per_key_then_the_updates() {
+        use gb_uarch::mix::MixProbe;
+        let mut t = KmerTable::with_capacity(100, Probing::Linear);
+        let mut probe = MixProbe::new();
+        t.add_batch_probed(&[1, 2, 3, 4], &mut probe);
+        // Four fresh keys (the table is nearly empty: no collisions): a
+        // touch and a probe load each, a key store and a value store each.
+        assert_eq!(probe.mix().loads, 8);
+        assert_eq!(probe.mix().stores, 8);
+        // Residents in their home slots: a touch and one value store each.
+        let mut probe = MixProbe::new();
+        t.add_batch_probed(&[1, 2, 3, 4], &mut probe);
+        assert_eq!(probe.mix().loads, 4);
+        assert_eq!(probe.mix().stores, 4);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! - [`dbg`] — Platypus/GATK-style De-Bruijn graph re-assembly of
 //!   variant-calling regions (the **dbg** kernel),
 //! - [`kmer_count`] — Flye-style canonical k-mer counting (the
-//!   **kmer-cnt** kernel), with the software-prefetch ablation the paper
-//!   suggests,
+//!   **kmer-cnt** kernel): batched, with the table touched ahead of the
+//!   updates as the paper suggests, and the one-at-a-time path the paper
+//!   characterises,
 //! - [`unitigs`] — reference-free unitig assembly over the k-mer graph
 //!   (the de-novo counterpart of the dbg kernel).
 //!

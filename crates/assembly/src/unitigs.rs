@@ -83,16 +83,20 @@ impl Assembly {
 /// Panics if `params.k` is 0 or greater than 31.
 pub fn assemble_unitigs(reads: &[DnaSeq], params: &UnitigParams) -> Assembly {
     assert!(params.k > 0 && params.k <= 31, "k must be in 1..=31");
-    let k = params.k;
     let (table, _) = count_kmers(
         reads,
         &KmerCountParams {
-            k,
+            k: params.k,
             canonical: true,
             ..Default::default()
         },
     );
+    unitigs_of(&table, params)
+}
 
+/// The unitigs of the graph whose canonical k-mer counts are in `table`.
+fn unitigs_of(table: &KmerTable, params: &UnitigParams) -> Assembly {
+    let k = params.k;
     let solid = |km: u64| -> bool {
         table
             .get(canonical_kmer(km, k))
@@ -111,7 +115,16 @@ pub fn assemble_unitigs(reads: &[DnaSeq], params: &UnitigParams) -> Assembly {
     // Track visited canonical k-mers.
     let mut visited = KmerTable::with_capacity(table.len(), crate::kmer_table::Probing::Linear);
     let mut contigs: Vec<DnaSeq> = Vec::new();
-    let solid_kmers = table.iter().filter(|&(_, c)| c >= params.min_count).count();
+    // The solid k-mers in key order: seeding the walks in slot order would
+    // make the contigs' orientation and order depend on the table's size
+    // and probing, not on the reads alone.
+    let mut seeds: Vec<u64> = table
+        .iter()
+        .filter(|&(_, count)| count >= params.min_count)
+        .map(|(canon, _)| canon)
+        .collect();
+    seeds.sort_unstable();
+    let solid_kmers = seeds.len();
 
     let handle = |start: u64, visited: &mut KmerTable, contigs: &mut Vec<DnaSeq>| {
         if !solid(start) || visited.get(canonical_kmer(start, k)).is_some() {
@@ -160,10 +173,7 @@ pub fn assemble_unitigs(reads: &[DnaSeq], params: &UnitigParams) -> Assembly {
     };
 
     // Seed walks from every solid k-mer (both orientations).
-    for (canon, count) in table.iter().collect::<Vec<_>>() {
-        if count < params.min_count {
-            continue;
-        }
+    for canon in seeds {
         handle(canon, &mut visited, &mut contigs);
         handle(revcomp_kmer(canon, k), &mut visited, &mut contigs);
     }
@@ -270,6 +280,31 @@ mod tests {
         reads.extend(shred(&genome.slice(1100, 2000), 150, 40));
         let asm = assemble_unitigs(&reads, &UnitigParams::default());
         assert_eq!(asm.contigs.len(), 2);
+    }
+
+    #[test]
+    fn contigs_do_not_depend_on_the_table_layout() {
+        use crate::kmer_table::Probing;
+        // Thirty unrelated fragments, many of equal length: the strand each
+        // contig comes out on and the order among equals both follow from
+        // which of its k-mers seeds the walk.
+        let reads: Vec<DnaSeq> = (0..30)
+            .flat_map(|i| shred(&random_seq(200 + 10 * (i % 3), 100 + i as u64), 100, 25))
+            .collect();
+        let params = UnitigParams::default();
+        let want = assemble_unitigs(&reads, &params);
+        assert_eq!(want.contigs.len(), 30);
+        for probing in [Probing::Linear, Probing::RobinHood] {
+            for capacity in [8, 100_000] {
+                let mut table = KmerTable::with_capacity(capacity, probing);
+                for read in &reads {
+                    let keys: Vec<u64> = read.canonical_kmers(params.k).map(|(_, km)| km).collect();
+                    table.add_batch(&keys);
+                }
+                let got = unitigs_of(&table, &params);
+                assert_eq!(got, want, "{probing:?} capacity {capacity}");
+            }
+        }
     }
 
     #[test]

@@ -118,7 +118,8 @@ fn ablation_kmercnt(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(count_kmers(&reads, &params).1.distinct))
         });
     }
-    for window in [8usize, 32] {
+    // Window 1 is the one-at-a-time characterisation path, 32 the kernel's.
+    for window in [1usize, 8, 32, 64] {
         let params = KmerCountParams::default();
         group.bench_function(format!("prefetch_w{window}"), |b| {
             b.iter(|| {

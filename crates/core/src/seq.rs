@@ -151,6 +151,51 @@ impl DnaSeq {
             cur: 0,
         }
     }
+
+    /// Iterates over the *canonical* form of each `k`-mer, 5'→3': exactly
+    /// [`DnaSeq::kmers`] mapped through [`canonical_kmer`], but in O(1) per
+    /// k-mer — the forward and the reverse-complement word are rolled
+    /// together, one base in at the bottom of the one and at the top of the
+    /// other.
+    ///
+    /// Yields `(offset, canonical_kmer)` pairs; empty when `k == 0`,
+    /// `k > 32`, or the sequence is shorter than `k`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gb_core::seq::{canonical_kmer, DnaSeq};
+    /// let s: DnaSeq = "GTTTACG".parse()?;
+    /// let rolled: Vec<(usize, u64)> = s.canonical_kmers(4).collect();
+    /// let mapped: Vec<(usize, u64)> =
+    ///     s.kmers(4).map(|(i, km)| (i, canonical_kmer(km, 4))).collect();
+    /// assert_eq!(rolled, mapped);
+    /// # Ok::<(), gb_core::error::Error>(())
+    /// ```
+    // PANIC-FREE: the split index is `k - 1 < k <= len`, or 0 on the empty
+    // slice an out-of-range `k` is replaced with.
+    pub fn canonical_kmers(&self, k: usize) -> CanonicalKmers<'_> {
+        // An out-of-range `k` degenerates to 1-mers of the empty sequence.
+        let (k, codes) = if (1..=32).contains(&k) && self.codes.len() >= k {
+            (k, &self.codes[..])
+        } else {
+            (1, &[][..])
+        };
+        let (head, rest) = codes.split_at(k - 1);
+        let mut it = CanonicalKmers {
+            rest: rest.iter(),
+            pos: 0,
+            fwd: 0,
+            rev: 0,
+            mask: u64::MAX >> (64 - 2 * k),
+            top: 2 * (k as u32 - 1),
+        };
+        // Prime both words with the first k-1 bases.
+        for &c in head {
+            it.roll(c);
+        }
+        it
+    }
 }
 
 impl std::str::FromStr for DnaSeq {
@@ -243,6 +288,50 @@ impl<'a> Iterator for Kmers<'a> {
 
 impl ExactSizeIterator for Kmers<'_> {}
 
+/// Iterator over the canonical packed k-mers of a sequence; see
+/// [`DnaSeq::canonical_kmers`].
+#[derive(Debug, Clone)]
+pub struct CanonicalKmers<'a> {
+    /// Bases not yet shifted in.
+    rest: std::slice::Iter<'a, u8>,
+    pos: usize,
+    fwd: u64,
+    rev: u64,
+    mask: u64,
+    /// Bit offset of the most significant base, `2 * (k - 1)`.
+    top: u32,
+}
+
+impl CanonicalKmers<'_> {
+    /// Shifts base `c` in: at the bottom of the forward word, and its
+    /// complement at the top of the reverse-complement word.
+    #[inline]
+    fn roll(&mut self, c: u8) {
+        let c = u64::from(c);
+        self.fwd = ((self.fwd << 2) | c) & self.mask;
+        self.rev = (self.rev >> 2) | ((3 - c) << self.top);
+    }
+}
+
+impl Iterator for CanonicalKmers<'_> {
+    type Item = (usize, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, u64)> {
+        let &c = self.rest.next()?;
+        self.roll(c);
+        let i = self.pos;
+        self.pos += 1;
+        Some((i, self.fwd.min(self.rev)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rest.size_hint()
+    }
+}
+
+impl ExactSizeIterator for CanonicalKmers<'_> {}
+
 /// Packs up to 32 codes into a `u64`, first base in the most significant
 /// position (lexicographic order of k-mers equals numeric order).
 ///
@@ -274,13 +363,13 @@ pub fn unpack_kmer(kmer: u64, k: usize) -> Vec<u8> {
 // at kernel-config time (never data-dependent).
 pub fn revcomp_kmer(kmer: u64, k: usize) -> u64 {
     assert!(k <= 32 && k > 0);
-    let mut out = 0u64;
-    let mut v = kmer;
-    for _ in 0..k {
-        out = (out << 2) | (3 - (v & 3));
-        v >>= 2;
-    }
-    out
+    // Complementing a 2-bit code is `3 - c == !c`. `reverse_bits` reverses
+    // the base order but also the two bits inside each base, so swap those
+    // back; the k bases then sit at the top of the word.
+    const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+    let r = (!kmer).reverse_bits();
+    let r = ((r >> 1) & LOW_BITS) | ((r & LOW_BITS) << 1);
+    r >> (64 - 2 * k)
 }
 
 /// The canonical form of a packed k-mer: the smaller of the k-mer and its
@@ -392,6 +481,61 @@ mod tests {
         let packed = pack_kmer(s.as_codes());
         let rc = s.reverse_complement();
         assert_eq!(revcomp_kmer(packed, s.len()), pack_kmer(rc.as_codes()));
+    }
+
+    /// LCG-drawn words and codes for the tests below.
+    fn lcg(x: &mut u64) -> u64 {
+        *x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        *x ^ (*x >> 29)
+    }
+
+    #[test]
+    fn revcomp_kmer_matches_the_per_base_loop() {
+        fn by_loop(kmer: u64, k: usize) -> u64 {
+            let mut out = 0u64;
+            let mut v = kmer;
+            for _ in 0..k {
+                out = (out << 2) | (3 - (v & 3));
+                v >>= 2;
+            }
+            out
+        }
+        let mut x = 17u64;
+        for k in 1..=32usize {
+            for _ in 0..200 {
+                // Bits above 2k are garbage on purpose: both ignore them.
+                let word = lcg(&mut x);
+                assert_eq!(
+                    revcomp_kmer(word, k),
+                    by_loop(word, k),
+                    "k={k} word={word:#x}"
+                );
+            }
+            let all_t = u64::MAX >> (64 - 2 * k);
+            assert_eq!(revcomp_kmer(all_t, k), 0);
+            assert_eq!(revcomp_kmer(0, k), all_t);
+        }
+    }
+
+    #[test]
+    fn canonical_kmers_equal_kmers_mapped_through_canonical_kmer() {
+        let mut x = 5u64;
+        for k in [1usize, 2, 15, 17, 31, 32] {
+            // Shorter than k, exactly k, and long enough to roll many times.
+            for len in [0, k - 1, k, k + 1, 3 * k + 7, 300] {
+                let s: DnaSeq = (0..len).map(|_| (lcg(&mut x) % 4) as u8).collect();
+                let want: Vec<(usize, u64)> = s
+                    .kmers(k)
+                    .map(|(i, km)| (i, canonical_kmer(km, k)))
+                    .collect();
+                let it = s.canonical_kmers(k);
+                assert_eq!(it.len(), want.len(), "k={k} len={len}");
+                assert_eq!(it.collect::<Vec<_>>(), want, "k={k} len={len}");
+            }
+        }
+        let s: DnaSeq = "ACGT".parse().unwrap();
+        assert_eq!(s.canonical_kmers(0).count(), 0);
+        assert_eq!(s.canonical_kmers(33).count(), 0);
     }
 
     #[test]
