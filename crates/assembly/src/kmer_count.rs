@@ -9,20 +9,19 @@
 //! pipeline slots) and suggests touching the table ahead of the updates,
 //! since upcoming keys are known in advance.
 //!
-//! There is one counting routine, and three ways in that differ only in
+//! There is one counting routine, and two ways in that differ only in
 //! how many keys are gathered before the table sees them:
 //!
 //! - [`count_kmers`] is **the kernel**: keys go to
 //!   [`KmerTable::add_batch`] [`BATCH`] at a time, which reads every home
 //!   slot of the batch before updating any, so the misses overlap.
-//! - [`count_kmers_probed`] is the **paper-faithful characterisation
-//!   path**: a window of one, i.e. one dependent update after another,
-//!   the program the paper profiled and the one the simulated hierarchy
-//!   is fed.
-//! - [`count_kmers_prefetched`] takes the window from its caller, for the
-//!   ablation over window sizes.
+//! - [`count_kmers_prefetched`] takes the window (and a probe) from its
+//!   caller: the suite's task is window [`BATCH`] — timed and simulated
+//!   alike — and the ablation sweeps it. Window 1, one dependent update
+//!   after another, is the **paper-faithful** program, the one the paper
+//!   profiled.
 //!
-//! All three roll the canonical k-mer in O(1) per base
+//! Both roll the canonical k-mer in O(1) per base
 //! ([`DnaSeq::canonical_kmers`]) and build the table once, for the number
 //! of k-mers in the input — an upper bound on the distinct ones, and for
 //! noisy long reads a tight one — so counting never rehashes.
@@ -85,17 +84,7 @@ pub struct KmerCountStats {
 ///
 /// Panics if `params.k` is 0 or greater than 31.
 pub fn count_kmers(reads: &[DnaSeq], params: &KmerCountParams) -> (KmerTable, KmerCountStats) {
-    count_with(reads, params, BATCH, &mut NullProbe)
-}
-
-/// [`count_kmers`] one update at a time, with instrumentation: the access
-/// pattern the paper characterises (every update waits for its own miss).
-pub fn count_kmers_probed<P: Probe>(
-    reads: &[DnaSeq],
-    params: &KmerCountParams,
-    probe: &mut P,
-) -> (KmerTable, KmerCountStats) {
-    count_with(reads, params, 1, probe)
+    count_kmers_prefetched(reads, params, BATCH, &mut NullProbe)
 }
 
 /// [`count_kmers`] with a caller-chosen window: the home slots of `window`
@@ -110,26 +99,12 @@ pub fn count_kmers_probed<P: Probe>(
 /// # Panics
 ///
 /// Panics if `window` is 0, or `params.k` is 0 or greater than 31.
-pub fn count_kmers_prefetched<P: Probe>(
-    reads: &[DnaSeq],
-    params: &KmerCountParams,
-    window: usize,
-    probe: &mut P,
-) -> (KmerTable, KmerCountStats) {
-    count_with(reads, params, window, probe)
-}
-
-/// Integer operations the probe is told of per k-mer: rolling the forward
-/// word (shift-or, mask), and for a canonical key the reverse-complement
-/// word (shift, complement, shift, or) and the minimum (compare, select).
-const FORWARD_OPS: u64 = 2;
-const CANONICAL_OPS: u64 = FORWARD_OPS + 6;
-
-/// The counting routine: gathers `window` keys, then hands them to the
-/// table together.
+// One standalone copy per probe type, as `count_kmers` is in this crate:
+// inlined into a caller's task wrappers the loop ran 5–10 % slower.
+#[inline(never)]
 // PANIC-FREE: the `k` range and window asserts are the documented API
 // contract; everything else is iterator-driven.
-fn count_with<P: Probe>(
+pub fn count_kmers_prefetched<P: Probe>(
     reads: &[DnaSeq],
     params: &KmerCountParams,
     window: usize,
@@ -170,6 +145,12 @@ fn count_with<P: Probe>(
     stats.table_bytes = table.heap_bytes();
     (table, stats)
 }
+
+/// Integer operations the probe is told of per k-mer: rolling the forward
+/// word (shift-or, mask), and for a canonical key the reverse-complement
+/// word (shift, complement, shift, or) and the minimum (compare, select).
+const FORWARD_OPS: u64 = 2;
+const CANONICAL_OPS: u64 = FORWARD_OPS + 6;
 
 /// Histogram of counts (`histogram[c]` = number of distinct k-mers seen
 /// exactly `c` times, capped at `max_count`), Flye's solid-k-mer
@@ -278,7 +259,8 @@ mod tests {
                             canonical,
                         };
                         for window in [1, 2, 31, 32, 33, 64] {
-                            let (table, stats) = count_with(&rs, &p, window, &mut NullProbe);
+                            let (table, stats) =
+                                count_kmers_prefetched(&rs, &p, window, &mut NullProbe);
                             let ctx = format!("total {total} {p:?} window {window}");
                             assert_eq!(stats.kmers_processed, total as u64, "{ctx}");
                             assert_eq!(stats.distinct, want.len(), "{ctx}");
@@ -305,7 +287,7 @@ mod tests {
             };
             let want = naive_counts(&rs, 9, canonical);
             for window in [1, 5, BATCH, 1000] {
-                let (table, stats) = count_with(&rs, &p, window, &mut NullProbe);
+                let (table, stats) = count_kmers_prefetched(&rs, &p, window, &mut NullProbe);
                 assert_eq!(
                     stats.kmers_processed,
                     want.values().map(|&c| c as u64).sum()
@@ -344,7 +326,7 @@ mod tests {
                 ..Default::default()
             };
             let mut probe = MixProbe::new();
-            let _ = count_kmers_probed(&rs, &p, &mut probe);
+            let _ = count_kmers_prefetched(&rs, &p, 1, &mut probe);
             probe.mix().int_ops
         };
         // Longer k-mers cost no more to canonicalise.
@@ -364,7 +346,7 @@ mod tests {
             ..Default::default()
         };
         let mut plain_probe = CacheProbe::skylake_like();
-        let _ = count_kmers_probed(&rs, &p, &mut plain_probe);
+        let _ = count_kmers_prefetched(&rs, &p, 1, &mut plain_probe);
         let mut pf_probe = CacheProbe::skylake_like();
         let _ = count_kmers_prefetched(&rs, &p, 32, &mut pf_probe);
         let plain_stats = plain_probe.cache_stats();

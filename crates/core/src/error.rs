@@ -44,15 +44,6 @@ pub enum Error {
     },
 }
 
-impl Error {
-    /// Convenience constructor for [`Error::InvalidArgument`].
-    pub fn invalid_argument(reason: impl Into<String>) -> Error {
-        Error::InvalidArgument {
-            reason: reason.into(),
-        }
-    }
-}
-
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -54,11 +54,6 @@ impl Phred {
         10f64.powf(-f64::from(self.0) / 10.0)
     }
 
-    /// The probability that the base is correct.
-    pub fn correct_prob(self) -> f64 {
-        1.0 - self.error_prob()
-    }
-
     /// Converts an error probability into the nearest quality score.
     ///
     /// Probabilities `<= 0` map to [`MAX_PHRED`]; probabilities `>= 1` map

@@ -23,11 +23,7 @@ pub use crate::lockstep::LANES;
 /// is computed for every *active* lane before any lane moves on. A lane
 /// deactivates when its matrix (or band) is exhausted or its Z-drop
 /// fires; the batch runs until every lane is done.
-pub fn lockstep_group(tasks: &[SwTask], params: &SwParams) -> (Vec<SwResult>, BatchReport) {
-    lockstep_group_probed(tasks, params, &mut NullProbe)
-}
-
-/// [`lockstep_group`] with instrumentation (one SIMD op per vector step).
+/// The probe is told one SIMD op per vector step.
 pub fn lockstep_group_probed<P: Probe>(
     tasks: &[SwTask],
     params: &SwParams,
@@ -344,6 +340,6 @@ mod tests {
     #[should_panic(expected = "at most")]
     fn oversized_group_panics() {
         let ts = tasks(17, 23);
-        let _ = lockstep_group(&ts, &SwParams::default());
+        let _ = lockstep_group_probed(&ts, &SwParams::default(), &mut NullProbe);
     }
 }

@@ -88,13 +88,9 @@ fn step_vector(
 
 /// Executes up to [`LANES`] tasks on the i16 SoA engine; returns per-lane
 /// results (bit-identical to [`crate::bsw::banded_sw`]) plus slot counts.
-pub fn simd_group(tasks: &[SwTask], params: &SwParams) -> (Vec<SwResult>, BatchReport) {
-    simd_group_probed(tasks, params, &mut NullProbe)
-}
-
-/// [`simd_group`] with instrumentation: one SIMD op (and one lockstep
-/// branch) per vector step, matching the i32 lockstep engine's
-/// accounting; retired lanes replay their scalar cell traffic.
+/// The probe is told one SIMD op (and one lockstep branch) per vector
+/// step, matching the i32 lockstep engine's accounting; retired lanes
+/// replay their scalar cell traffic.
 // PANIC-FREE: the assert is the documented group-width precondition;
 // row/lane indices are bounded by the padded lengths fixed at setup.
 pub fn simd_group_probed<P: Probe>(
@@ -184,6 +180,7 @@ pub fn simd_group_probed<P: Probe>(
     /// per-cell `in_prev` check of the scalar kernel, hoisted to row
     /// turnover), diagonal seed and cached query base. Returns the new
     /// `h_diag`, or `None` when the lane is exhausted.
+    #[inline]
     // PANIC-FREE: band clamps keep `lo >= 1` and `hi <= n` against rows
     // allocated with `n + 1` slots.
     // xtask: hot

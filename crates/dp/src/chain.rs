@@ -172,6 +172,9 @@ pub fn chain_anchors_probed<P: Probe>(
 
 /// `alpha - beta` for chaining anchor `i` after anchor `j`, or `None` when
 /// the pair is unchainable.
+// The inner loop's one call: `chain_anchors_probed` is instantiated in the
+// caller's crate, which can only inline this with the hint.
+#[inline]
 fn pair_score(aj: &Anchor, ai: &Anchor, params: &ChainParams) -> Option<i32> {
     let dt = i64::from(ai.target_pos) - i64::from(aj.target_pos);
     let dq = i64::from(ai.query_pos) - i64::from(aj.query_pos);

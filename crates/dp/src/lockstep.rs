@@ -15,7 +15,7 @@
 //!   wider-integer rerun while its last stored values are still exact;
 //! - **slot accounting** ([`BatchReport`]) — scalar-vs-vector cell-slot
 //!   counts, the dead-slot fraction and lane-retirement gauges surfaced
-//!   through `Kernel::export_gauges` and the experiment reports;
+//!   through `Kernel::gauges` and the experiment reports;
 //! - **lockstep grouping** ([`order_by_key`], [`inverse_order`],
 //!   [`group_slices`]) — length-sorted lane assignment (the paper's
 //!   dead-slot mitigation) plus the inverse permutation to scatter

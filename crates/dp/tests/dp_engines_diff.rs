@@ -32,10 +32,11 @@ use gb_datagen::signal::{simulate_signal, PoreModel, SignalSimConfig, PORE_K};
 use gb_dp::abea::{align_events, align_events_engine, align_events_simd, AbeaParams, AbeaResult};
 use gb_dp::bsw::{banded_sw, run_batch, SwParams, SwTask};
 use gb_dp::bsw_batch::LANES;
-use gb_dp::bsw_simd::{params_fit_i16, run_simd, simd_group};
+use gb_dp::bsw_simd::{params_fit_i16, run_simd, simd_group_probed};
 use gb_dp::phmm::{forward_likelihood, HmmParams};
 use gb_dp::phmm_wavefront::wavefront_likelihood;
 use gb_dp::DpEngine;
+use gb_uarch::probe::NullProbe;
 use proptest::prelude::*;
 
 fn codes(min: usize, max: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -178,7 +179,7 @@ proptest! {
             ..SwParams::default()
         };
         prop_assert!(params_fit_i16(&params));
-        let (results, rep) = simd_group(&tasks, &params);
+        let (results, rep) = simd_group_probed(&tasks, &params, &mut NullProbe);
         let mut expected_retired = 0u64;
         for (task, r) in tasks.iter().zip(&results) {
             let scalar = banded_sw(&task.query, &task.target, &params);

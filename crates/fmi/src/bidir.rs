@@ -83,11 +83,6 @@ impl BiIndex {
         &self.fwd
     }
 
-    /// Length of the indexed text.
-    pub fn text_len(&self) -> usize {
-        self.text_len
-    }
-
     /// Combined heap footprint of both indexes.
     pub fn heap_bytes(&self) -> usize {
         self.fwd.heap_bytes() + self.rev.heap_bytes()

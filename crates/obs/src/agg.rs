@@ -153,11 +153,6 @@ impl StageTree {
         self.roots.values().map(|n| n.total).sum()
     }
 
-    /// Names of the top-level frames, in sorted order.
-    pub fn root_names(&self) -> Vec<String> {
-        self.roots.keys().cloned().collect()
-    }
-
     /// Folds a trace's complete spans into a tree; see the module docs
     /// for the nesting rule. Instant events and zero-length categories
     /// ride along untouched (only `ph == 'X'` spans contribute).

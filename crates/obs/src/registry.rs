@@ -39,14 +39,6 @@ impl MetricsRegistry {
             .record(sample);
     }
 
-    /// Merges a whole histogram into the named histogram.
-    pub fn merge_histogram(&mut self, name: &str, hist: &LogHistogram) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(hist);
-    }
-
     /// Read access to a histogram, if present.
     pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
         self.histograms.get(name)

@@ -37,11 +37,6 @@ impl PosCounts {
             + self.del_fwd
             + self.del_rev
     }
-
-    /// Combined support for base `code` across strands.
-    pub fn base_total(&self, code: u8) -> u32 {
-        self.base_fwd[code as usize] + self.base_rev[code as usize]
-    }
 }
 
 /// The pileup of one region.
@@ -78,7 +73,7 @@ impl Pileup {
 /// let aln = AlignmentRecord::new(read, 0, 1, "4M".parse()?, 60, Strand::Forward)?;
 /// let task = RegionTask { region: Region::new(0, 0, 8), ref_seq, reads: vec![aln] };
 /// let p = count_pileup(&task);
-/// assert_eq!(p.at(1).unwrap().base_total(1), 1); // C at position 1
+/// assert_eq!(p.at(1).unwrap().base_fwd[1], 1); // C at position 1
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn count_pileup(task: &RegionTask) -> Pileup {

@@ -43,16 +43,6 @@ use gb_uarch::probe::{addr_of, NullProbe, Probe};
 /// Aligns `seq` to `graph` on the requested engine. The [`BatchReport`]
 /// carries the SIMD engine's slot accounting (row padding waste and
 /// ladder retirements); the scalar engine returns an empty report.
-pub fn align_to_graph_engine(
-    graph: &PoaGraph,
-    seq: &DnaSeq,
-    params: &PoaParams,
-    engine: DpEngine,
-) -> (GraphAlignment, BatchReport) {
-    align_to_graph_engine_probed(graph, seq, params, engine, &mut NullProbe)
-}
-
-/// [`align_to_graph_engine`] with instrumentation.
 pub fn align_to_graph_engine_probed<P: Probe>(
     graph: &PoaGraph,
     seq: &DnaSeq,

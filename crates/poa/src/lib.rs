@@ -33,6 +33,6 @@ pub mod consensus;
 pub mod graph;
 
 pub use align::{add_read_weighted, add_sequence, align_to_graph, PoaParams};
-pub use align_simd::{add_sequence_engine, align_to_graph_engine, align_to_graph_simd};
+pub use align_simd::{add_sequence_engine, align_to_graph_simd};
 pub use consensus::{consensus, window_consensus, window_consensus_engine, WindowStats};
 pub use graph::PoaGraph;

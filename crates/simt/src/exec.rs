@@ -60,11 +60,6 @@ impl KernelSim {
         }
     }
 
-    /// The modelled GPU.
-    pub fn gpu(&self) -> &GpuConfig {
-        &self.gpu
-    }
-
     /// Issues `count` instructions on one warp with `mask` active lanes;
     /// `predicated_off` of those lanes are executing under a false
     /// predicate (they count for warp efficiency, not for non-predicated

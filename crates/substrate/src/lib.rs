@@ -139,11 +139,6 @@ impl SubstrateCache {
         self.enabled
     }
 
-    /// Whether a disk store is attached.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// Returns the substrate for `key`, building it with `build` only on
     /// a miss. Lookup order: memo, then disk (verified and memoized),
     /// then build (memoized and written back to disk). Disk entries that

@@ -35,8 +35,8 @@ use gb_obs::{
 use gb_substrate::SubstrateCache;
 use gb_suite::dataset::DatasetSize;
 use gb_suite::kernels::{
-    prepare_cached, run_parallel, run_parallel_instrumented, total_work, warm_substrates,
-    Characterization, DpEngine, KernelId, PrepareStats, RunStats,
+    prepare_cached, run_parallel, run_parallel_instrumented, warm_substrates, Characterization,
+    DpEngine, KernelId, PrepareStats, RunStats,
 };
 use gb_suite::reports::{self, Report};
 use std::path::Path;
@@ -178,6 +178,23 @@ enum Opt {
 }
 
 impl Opt {
+    const ALL: [Opt; 14] = [
+        Opt::Tier,
+        Opt::Threads,
+        Opt::DpEngine,
+        Opt::Json,
+        Opt::Trace,
+        Opt::Metrics,
+        Opt::ManifestOut,
+        Opt::Baseline,
+        Opt::Uarch,
+        Opt::UarchBudget,
+        Opt::Flame,
+        Opt::FlameSvg,
+        Opt::SubstrateCache,
+        Opt::NoCache,
+    ];
+
     fn flag(self) -> &'static str {
         match self {
             Opt::Tier => "--tier",
@@ -255,35 +272,25 @@ fn build_cache(opts: &Options) -> Result<SubstrateCache, String> {
 
 /// Parses options, accepting only the flags `cmd` supports — a flag that
 /// *some other* subcommand accepts produces a targeted error instead of
-/// being silently ignored.
+/// being silently ignored, and so does a flag given twice (the second
+/// value would silently win).
 fn parse_options(cmd: &str, args: &[String], allowed: &[Opt]) -> Result<Options, String> {
     let mut opts = Options::default();
+    let mut seen: Vec<Opt> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let all = [
-            Opt::Tier,
-            Opt::Threads,
-            Opt::DpEngine,
-            Opt::Json,
-            Opt::Trace,
-            Opt::Metrics,
-            Opt::ManifestOut,
-            Opt::Baseline,
-            Opt::Uarch,
-            Opt::UarchBudget,
-            Opt::Flame,
-            Opt::FlameSvg,
-            Opt::SubstrateCache,
-            Opt::NoCache,
-        ];
         // --size predates --tier; both name the dataset tier.
         let canonical = if a == "--size" { "--tier" } else { a.as_str() };
-        let Some(opt) = all.iter().copied().find(|o| o.flag() == canonical) else {
+        let Some(opt) = Opt::ALL.iter().copied().find(|o| o.flag() == canonical) else {
             return Err(format!("unknown option '{a}'"));
         };
         if !allowed.contains(&opt) {
             return Err(format!("'{cmd}' does not accept {}", opt.flag()));
         }
+        if seen.contains(&opt) {
+            return Err(format!("{} is given more than once", opt.flag()));
+        }
+        seen.push(opt);
         if !opt.takes_value() {
             match opt {
                 Opt::Uarch => opts.uarch = true,
@@ -413,13 +420,12 @@ fn latency_summary(ts: &TaskStats) -> HistogramSummary {
 /// throughput/work metrics into the registry.
 fn kernel_record(
     id: KernelId,
-    kernel: &dyn gb_suite::Kernel,
     stats: &RunStats,
     memory: Option<gb_obs::MemoryRecord>,
     registry: &mut MetricsRegistry,
 ) -> KernelRecord {
     let wall_ns = stats.elapsed.as_nanos() as u64;
-    let work_total = total_work(kernel);
+    let work_total = stats.work;
     let throughput_per_s = if wall_ns > 0 {
         work_total as f64 / (wall_ns as f64 / 1e9)
     } else {
@@ -484,9 +490,8 @@ struct Measured {
 /// (and timed) the heavy build or load; the prepare here is then a memo
 /// hit plus a cheap instantiate, so the record carries the summed wall
 /// and the pre-pass's cache outcome. With a `recorder` the tasks are
-/// traced and the engine-specific gauges (e.g. bsw dead-slot fractions
-/// before/after length sorting) are exported; bare timed runs skip the
-/// gauges, since gathering them replays the kernel.
+/// traced. The work total and the engine-specific gauges (e.g. the bsw
+/// SIMD engine's dead-slot fraction) are by-products of the timed run.
 fn measure_kernel(
     id: KernelId,
     opts: &Options,
@@ -518,12 +523,10 @@ fn measure_kernel(
     if let Some(ts) = &stats.task_stats {
         registry.record_task_stats(id.name(), ts);
     }
-    if recorder.is_some() {
-        for (name, value) in kernel.export_gauges() {
-            registry.set_gauge(&name, value);
-        }
+    for (name, value) in kernel.gauges(&stats.slots) {
+        registry.set_gauge(&name, value);
     }
-    let mut record = kernel_record(id, kernel.as_ref(), &stats, memory, registry);
+    let mut record = kernel_record(id, &stats, memory, registry);
     record.prepare_wall_ns = Some(prepare.wall.as_nanos() as u64);
     record.cache_hit = Some(prepare.cache_hit);
     Measured {

@@ -9,16 +9,17 @@
 //! parameters — with bit-identical scores, alignments and band walks,
 //! so the two engines produce the same run checksum.
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{slot_gauges, KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::seq::DnaSeq;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::signal::{simulate_signal, Event, PoreModel, SignalSimConfig};
-use gb_dp::abea::{align_events_engine, align_events_engine_probed, AbeaParams};
+use gb_dp::abea::{align_events_engine_probed, AbeaParams};
+use gb_dp::lockstep::BatchReport;
 use gb_dp::DpEngine;
 use gb_simt::exec::GpuKernelReport;
 use gb_simt::kernels::{model_abea_gpu, AbeaGpuParams};
-use gb_uarch::cache::CacheProbe;
+use gb_uarch::probe::Probe;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -77,6 +78,58 @@ impl KernelSpec for AbeaKernel {
         }
     }
 
+    fn num_tasks(&self) -> usize {
+        self.sub.reads.len()
+    }
+
+    // PANIC-FREE: callers keep `i < num_tasks()`, the documented
+    // `KernelSpec::task` contract.
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut {
+        let (events, seq) = &self.sub.reads[i];
+        let Some(r) = align_events_engine_probed(
+            events,
+            seq,
+            &self.sub.model,
+            &self.params,
+            self.engine,
+            probe,
+        ) else {
+            return TaskOut::default();
+        };
+        let slots = if self.engine == DpEngine::Simd {
+            // The adaptive band allocates `n_bands x bandwidth` slots per
+            // read but only the offsets inside the matrix are swept.
+            let n_kmers = seq.len().saturating_sub(gb_datagen::signal::PORE_K - 1);
+            let n_bands = (events.len() + n_kmers + 2) as u64;
+            BatchReport {
+                scalar_cells: r.cells,
+                vector_cells: n_bands * self.params.bandwidth as u64,
+                batches: 1,
+                retired_lanes: 0,
+            }
+        } else {
+            BatchReport::default()
+        };
+        TaskOut {
+            checksum: r.cells.wrapping_add((r.score * -8.0) as u64),
+            work: r.cells,
+            slots,
+        }
+    }
+
+    /// Band-slot efficiency of the vector sweep: the dead-slot fraction
+    /// is the edge waste of the banding itself. Retired lanes are
+    /// structurally zero for this engine (f32 needs no precision ladder)
+    /// — exported so the compare gate can pin that invariant.
+    fn gauges(&self, slots: &BatchReport) -> Vec<(String, f64)> {
+        slot_gauges(
+            self.engine,
+            "abea.dead_slot_fraction",
+            "abea.simd_retired_lanes",
+            slots,
+        )
+    }
+
     /// Simulates FAST5-like signal reads over reference segments of
     /// varying length. The read set is identical for both engines; abea
     /// vectorizes *within* each band (anti-diagonal lanes), so the task
@@ -121,77 +174,6 @@ impl AbeaKernel {
     }
 }
 
-impl Kernel for AbeaKernel {
-    fn id(&self) -> KernelId {
-        KernelId::Abea
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.sub.reads.len()
-    }
-
-    // PANIC-FREE: the pool only calls `run_task` with `i < num_tasks()`,
-    // the documented `Kernel` contract.
-    fn run_task(&self, i: usize) -> u64 {
-        let (events, seq) = &self.sub.reads[i];
-        match align_events_engine(events, seq, &self.sub.model, &self.params, self.engine) {
-            Some(r) => r.cells.wrapping_add((r.score * -8.0) as u64),
-            None => 0,
-        }
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        let (events, seq) = &self.sub.reads[i];
-        let _ = align_events_engine_probed(
-            events,
-            seq,
-            &self.sub.model,
-            &self.params,
-            self.engine,
-            probe,
-        );
-    }
-
-    fn task_work(&self, i: usize) -> u64 {
-        let (events, seq) = &self.sub.reads[i];
-        align_events_engine(events, seq, &self.sub.model, &self.params, self.engine)
-            .map_or(0, |r| r.cells)
-    }
-
-    fn export_gauges(&self) -> Vec<(String, f64)> {
-        if self.engine != DpEngine::Simd {
-            return Vec::new();
-        }
-        // Band-slot efficiency of the vector sweep: the adaptive band
-        // allocates `n_bands x bandwidth` slots per read but only the
-        // offsets inside the matrix are swept, so the dead-slot fraction
-        // is the edge waste of the banding itself. Retired lanes are
-        // structurally zero for this engine (f32 needs no precision
-        // ladder) — exported so the compare gate can pin that invariant.
-        let mut computed = 0u64;
-        let mut allocated = 0u64;
-        for (events, seq) in &self.sub.reads {
-            if let Some(r) =
-                align_events_engine(events, seq, &self.sub.model, &self.params, self.engine)
-            {
-                let n_kmers = seq.len().saturating_sub(gb_datagen::signal::PORE_K - 1);
-                let n_bands = (events.len() + n_kmers + 2) as u64;
-                computed += r.cells;
-                allocated += n_bands * self.params.bandwidth as u64;
-            }
-        }
-        let dead = if allocated == 0 {
-            0.0
-        } else {
-            1.0 - computed as f64 / allocated as f64
-        };
-        vec![
-            ("abea.dead_slot_fraction".to_string(), dead),
-            ("abea.simd_retired_lanes".to_string(), 0.0),
-        ]
-    }
-}
-
 impl std::fmt::Debug for AbeaKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AbeaKernel")
@@ -233,19 +215,9 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_total_work() {
-        let scalar = AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
-        let simd = AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
-        assert_eq!(
-            crate::kernels::total_work(&scalar),
-            crate::kernels::total_work(&simd)
-        );
-    }
-
-    #[test]
     fn simd_gauges_report_band_efficiency() {
         let simd = AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
-        let gauges = simd.export_gauges();
+        let gauges = simd.gauges(&run_serial(&simd).slots);
         let get = |name: &str| {
             gauges
                 .iter()
@@ -256,9 +228,5 @@ mod tests {
         let dead = get("abea.dead_slot_fraction");
         assert!((0.0..1.0).contains(&dead), "dead slots {dead}");
         assert_eq!(get("abea.simd_retired_lanes"), 0.0);
-        // Scalar engine exports nothing.
-        assert!(AbeaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar)
-            .export_gauges()
-            .is_empty());
     }
 }

@@ -8,14 +8,14 @@
 //! struct-of-arrays engine (`gb_dp::bsw_simd`) — bit-identical results,
 //! so the two engines produce the same run checksum.
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{slot_gauges, KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
 use gb_datagen::genome::{Genome, GenomeConfig};
-use gb_dp::bsw::{banded_sw, banded_sw_probed, run_batch, BatchReport, SwParams, SwTask};
-use gb_dp::bsw_batch::LANES;
+use gb_dp::bsw::{banded_sw_probed, run_batch, BatchReport, SwParams, SwResult, SwTask};
+use gb_dp::bsw_batch::{run_lockstep, LANES};
 use gb_dp::bsw_simd::{run_simd, simd_group_probed};
 use gb_dp::DpEngine;
-use gb_uarch::cache::CacheProbe;
+use gb_uarch::probe::Probe;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -102,6 +102,53 @@ impl KernelSpec for BswKernel {
         }
     }
 
+    fn num_tasks(&self) -> usize {
+        match self.engine {
+            DpEngine::Scalar => self.sub.tasks.len(),
+            DpEngine::Simd => self.groups.len(),
+        }
+    }
+
+    // PANIC-FREE: callers keep `i < num_tasks()`, the documented
+    // `KernelSpec::task` contract, and `groups` holds ranges of `sorted`.
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut {
+        // The per-alignment contribution, wrapping-summed: the pool
+        // checksum is order-insensitive, so both engines agree on the
+        // run's totals even though SIMD runs 16 pairs per task.
+        let mut out = TaskOut::default();
+        let mut add = |r: &SwResult| {
+            let contribution = (r.score as u64).wrapping_mul(31).wrapping_add(r.cells);
+            out.checksum = out.checksum.wrapping_add(contribution);
+            out.work += r.cells;
+        };
+        match self.engine {
+            DpEngine::Scalar => {
+                let t = &self.sub.tasks[i];
+                add(&banded_sw_probed(&t.query, &t.target, &self.params, probe));
+            }
+            DpEngine::Simd => {
+                let group = &self.sorted[self.groups[i].clone()];
+                let (results, slots) = simd_group_probed(group, &self.params, probe);
+                results.iter().for_each(&mut add);
+                out.slots = slots;
+            }
+        }
+        out
+    }
+
+    /// Slot efficiency of the length-sorted batch schedule that ran, wired
+    /// into metrics/manifests so `compare` can track it. (The unsorted
+    /// baseline is a constant of the dataset: `bsw_batch_reports` prints
+    /// it.)
+    fn gauges(&self, slots: &BatchReport) -> Vec<(String, f64)> {
+        slot_gauges(
+            self.engine,
+            "bsw.dead_slot_fraction.sorted",
+            "bsw.simd_retired_lanes",
+            slots,
+        )
+    }
+
     /// Draws sequence pairs from a synthetic genome: mostly true pairs
     /// (overlapping segments with errors), some unrelated pairs (which
     /// trigger the Z-drop early exit — the paper's divergence source).
@@ -154,116 +201,28 @@ impl KernelSpec for BswKernel {
 }
 
 impl BswKernel {
-    /// The pairs task `i` executes, in this engine's task order.
-    fn tasks(&self) -> &[SwTask] {
-        match self.engine {
-            DpEngine::Scalar => &self.sub.tasks,
-            DpEngine::Simd => &self.sorted,
-        }
-    }
-
-    /// Runs the inter-sequence SIMD batch model (Fig. 3): `lanes`-wide
-    /// lockstep execution, optionally length-sorted.
-    pub fn batch_report(&self, lanes: usize, sort_by_len: bool) -> BatchReport {
-        let (_, report) = run_batch(self.tasks(), &self.params, lanes, sort_by_len);
-        report
-    }
-
-    /// Runs the *executed* lockstep kernel (`gb_dp::bsw_batch`) over the
-    /// same tasks: real per-step lane masking rather than the analytic
-    /// max-cells model.
-    pub fn lockstep_report(&self, sort_by_len: bool) -> BatchReport {
-        let (_, report) = gb_dp::bsw_batch::run_lockstep(self.tasks(), &self.params, sort_by_len);
-        report
-    }
-
-    /// Runs the i16 SoA SIMD engine (`gb_dp::bsw_simd`) over the same
-    /// tasks and reports its slot counts (plus retired-lane tally).
-    pub fn simd_report(&self, sort_by_len: bool) -> BatchReport {
-        let (_, report) = run_simd(self.tasks(), &self.params, sort_by_len);
-        report
-    }
-}
-
-impl Kernel for BswKernel {
-    fn id(&self) -> KernelId {
-        KernelId::Bsw
-    }
-
-    fn num_tasks(&self) -> usize {
-        match self.engine {
-            DpEngine::Scalar => self.sub.tasks.len(),
-            DpEngine::Simd => self.groups.len(),
-        }
-    }
-
-    // PANIC-FREE: the pool only calls `run_task` with `i < num_tasks()`,
-    // the documented `Kernel` contract.
-    fn run_task(&self, i: usize) -> u64 {
-        match self.engine {
-            DpEngine::Scalar => {
-                let t = &self.tasks()[i];
-                let r = banded_sw(&t.query, &t.target, &self.params);
-                (r.score as u64).wrapping_mul(31).wrapping_add(r.cells)
-            }
-            DpEngine::Simd => {
-                let group = &self.tasks()[self.groups[i].clone()];
-                let (results, _) = gb_dp::bsw_simd::simd_group(group, &self.params);
-                // Same per-alignment contribution as the scalar engine,
-                // wrapping-summed: the pool checksum is order-insensitive,
-                // so both engines agree on the total.
-                results.iter().fold(0u64, |acc, r| {
-                    acc.wrapping_add((r.score as u64).wrapping_mul(31).wrapping_add(r.cells))
-                })
-            }
-        }
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        match self.engine {
-            DpEngine::Scalar => {
-                let t = &self.tasks()[i];
-                let _ = banded_sw_probed(&t.query, &t.target, &self.params, probe);
-            }
-            DpEngine::Simd => {
-                let group = &self.tasks()[self.groups[i].clone()];
-                let _ = simd_group_probed(group, &self.params, probe);
-            }
-        }
-    }
-
-    fn task_work(&self, i: usize) -> u64 {
-        let cells = |t: &SwTask| banded_sw(&t.query, &t.target, &self.params).cells;
-        match self.engine {
-            DpEngine::Scalar => cells(&self.tasks()[i]),
-            DpEngine::Simd => self.tasks()[self.groups[i].clone()].iter().map(cells).sum(),
-        }
-    }
-
-    fn export_gauges(&self) -> Vec<(String, f64)> {
-        if self.engine != DpEngine::Simd {
-            return Vec::new();
-        }
-        // Slot-efficiency delta of length-sorted batch scheduling, wired
-        // into metrics/manifests so `compare` can track it. The substrate
-        // keeps the pairs in generation order, so it *is* the unsorted
-        // baseline the scalar engine would have grouped.
-        let (_, unsorted) = run_simd(&self.sub.tasks, &self.params, false);
-        let sorted = self.simd_report(true);
-        vec![
+    /// The inter-sequence batch model at several configurations (Fig. 3):
+    /// the analytic max-cells model at 16 lanes unsorted, 16 lanes
+    /// length-sorted and 8 lanes unsorted, the executed i32 lockstep
+    /// kernel (real per-step lane masking), and the production i16 SoA
+    /// SIMD engine unsorted and length-sorted, for the slot-efficiency
+    /// delta.
+    pub fn batch_reports(&self) -> Vec<(String, BatchReport)> {
+        let (tasks, p) = (&self.sub.tasks[..], &self.params);
+        let rows = [
+            ("16 lanes, unsorted", run_batch(tasks, p, 16, false).1),
+            ("16 lanes, length-sorted", run_batch(tasks, p, 16, true).1),
+            ("8 lanes, unsorted", run_batch(tasks, p, 8, false).1),
             (
-                "bsw.dead_slot_fraction.unsorted".to_string(),
-                unsorted.dead_slot_fraction(),
+                "16 lanes, executed lockstep",
+                run_lockstep(tasks, p, false).1,
             ),
-            (
-                "bsw.dead_slot_fraction.sorted".to_string(),
-                sorted.dead_slot_fraction(),
-            ),
-            (
-                "bsw.simd_retired_lanes".to_string(),
-                sorted.retired_lanes as f64,
-            ),
-        ]
+            ("i16 SIMD engine, unsorted", run_simd(tasks, p, false).1),
+            ("i16 SIMD engine, length-sorted", run_simd(tasks, p, true).1),
+        ];
+        rows.into_iter()
+            .map(|(label, report)| (label.to_string(), report))
+            .collect()
     }
 }
 
@@ -296,9 +255,8 @@ mod tests {
 
     #[test]
     fn batch_overcomputes_and_sorting_helps() {
-        let k = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
-        let unsorted = k.batch_report(16, false);
-        let sorted = k.batch_report(16, true);
+        let rows = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar).batch_reports();
+        let (unsorted, sorted) = (rows[0].1, rows[1].1);
         assert!(
             unsorted.overcompute() > 1.2,
             "unsorted {}",
@@ -323,33 +281,20 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_total_work() {
-        let scalar = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
-        let simd = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
-        assert_eq!(
-            crate::kernels::total_work(&scalar),
-            crate::kernels::total_work(&simd)
-        );
-    }
-
-    #[test]
     fn simd_gauges_show_sorting_gain() {
         let simd = BswKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
-        let gauges = simd.export_gauges();
-        let get = |name: &str| {
-            gauges
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap()
-        };
-        let unsorted = get("bsw.dead_slot_fraction.unsorted");
-        let sorted = get("bsw.dead_slot_fraction.sorted");
+        let slots = run_serial(&simd).slots;
+        let rows = simd.batch_reports();
+        // The run's fold is the length-sorted schedule `run_simd` models.
+        assert_eq!(slots, rows[5].1, "{}", rows[5].0);
+        let gauges = simd.gauges(&slots);
+        assert_eq!(gauges[0].0, "bsw.dead_slot_fraction.sorted");
+        let unsorted = rows[4].1.dead_slot_fraction();
         assert!(unsorted > 0.0, "unsorted dead slots {unsorted}");
-        assert!(sorted < unsorted, "sorted {sorted} vs unsorted {unsorted}");
-        // Scalar engine exports nothing.
-        assert!(BswKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar)
-            .export_gauges()
-            .is_empty());
+        assert!(
+            gauges[0].1 < unsorted,
+            "sorted {} vs unsorted {unsorted}",
+            gauges[0].1
+        );
     }
 }

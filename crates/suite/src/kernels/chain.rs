@@ -1,11 +1,11 @@
 //! The **chain** kernel: minimap2 anchor chaining (paper §III).
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
 use gb_datagen::anchors::{synthetic_anchor_sets, AnchorSet, AnchorSimConfig};
-use gb_dp::chain::{chain_anchors, chain_anchors_probed, ChainParams};
+use gb_dp::chain::{chain_anchors_probed, ChainParams};
 use gb_dp::DpEngine;
-use gb_uarch::cache::CacheProbe;
+use gb_uarch::probe::Probe;
 use std::sync::Arc;
 
 /// Deterministic build product of the chain prepare phase: the synthetic
@@ -57,6 +57,31 @@ impl KernelSpec for ChainKernel {
         }
     }
 
+    fn num_tasks(&self) -> usize {
+        self.sub.tasks.len()
+    }
+
+    // PANIC-FREE: callers keep `i < num_tasks()`, the documented
+    // `KernelSpec::task` contract.
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut {
+        let r = chain_anchors_probed(&self.sub.tasks[i], &self.params, probe);
+        TaskOut {
+            checksum: r
+                .chains
+                .iter()
+                .map(|c| c.score as u64 ^ (c.len() as u64).rotate_left(13))
+                .fold(r.comparisons, u64::wrapping_add),
+            work: self.task_work(i),
+            ..TaskOut::default()
+        }
+    }
+
+    /// Input anchors: known without chaining them.
+    // PANIC-FREE: as `task`.
+    fn task_work(&self, i: usize) -> u64 {
+        self.sub.tasks[i].len() as u64
+    }
+
     /// Synthesizes overlap tasks with long-tailed anchor counts (the
     /// paper's PacBio *C. elegans* all-vs-all workload shape).
     fn build_substrate(size: DatasetSize) -> ChainSubstrate {
@@ -73,34 +98,6 @@ impl KernelSpec for ChainKernel {
         ChainSubstrate {
             tasks: synthetic_anchor_sets(&cfg, seeds::ANCHORS),
         }
-    }
-}
-
-impl Kernel for ChainKernel {
-    fn id(&self) -> KernelId {
-        KernelId::Chain
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.sub.tasks.len()
-    }
-
-    // PANIC-FREE: the pool only calls `run_task` with `i < num_tasks()`,
-    // the documented `Kernel` contract.
-    fn run_task(&self, i: usize) -> u64 {
-        let r = chain_anchors(&self.sub.tasks[i], &self.params);
-        r.chains
-            .iter()
-            .map(|c| c.score as u64 ^ (c.len() as u64).rotate_left(13))
-            .fold(r.comparisons, u64::wrapping_add)
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        let _ = chain_anchors_probed(&self.sub.tasks[i], &self.params, probe);
-    }
-
-    fn task_work(&self, i: usize) -> u64 {
-        self.sub.tasks[i].len() as u64
     }
 }
 

@@ -1,14 +1,14 @@
 //! The **dbg** kernel: De-Bruijn re-assembly of variant-calling regions
 //! (paper §III, from Platypus).
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
-use gb_assembly::dbg::{assemble_region, assemble_region_probed, DbgParams};
+use gb_assembly::dbg::{assemble_region_probed, DbgParams};
 use gb_core::region::RegionTask;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::regions::{build_region_tasks, RegionSimConfig};
 use gb_dp::DpEngine;
-use gb_uarch::cache::CacheProbe;
+use gb_uarch::probe::Probe;
 use std::sync::Arc;
 
 /// Deterministic build product of the dbg prepare phase: the simulated
@@ -61,6 +61,23 @@ impl KernelSpec for DbgKernel {
         }
     }
 
+    fn num_tasks(&self) -> usize {
+        self.sub.tasks.len()
+    }
+
+    // PANIC-FREE: callers keep `i < num_tasks()`, the documented
+    // `KernelSpec::task` contract.
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut {
+        let r = assemble_region_probed(&self.sub.tasks[i], &self.params, probe);
+        TaskOut {
+            checksum: r.haplotypes.len() as u64 * 1000
+                + r.hash_lookups % 997
+                + u64::from(r.cycles_hit) * 7,
+            work: r.hash_lookups,
+            ..TaskOut::default()
+        }
+    }
+
     /// Simulates a diploid short-read sample over a reference and buckets
     /// it into 500-base re-assembly windows.
     fn build_substrate(size: DatasetSize) -> DbgSubstrate {
@@ -80,31 +97,6 @@ impl KernelSpec for DbgKernel {
         DbgSubstrate {
             tasks: workload.tasks,
         }
-    }
-}
-
-impl Kernel for DbgKernel {
-    fn id(&self) -> KernelId {
-        KernelId::Dbg
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.sub.tasks.len()
-    }
-
-    // PANIC-FREE: the pool only calls `run_task` with `i < num_tasks()`,
-    // the documented `Kernel` contract.
-    fn run_task(&self, i: usize) -> u64 {
-        let r = assemble_region(&self.sub.tasks[i], &self.params);
-        r.haplotypes.len() as u64 * 1000 + r.hash_lookups % 997 + u64::from(r.cycles_hit) * 7
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        let _ = assemble_region_probed(&self.sub.tasks[i], &self.params, probe);
-    }
-
-    fn task_work(&self, i: usize) -> u64 {
-        assemble_region(&self.sub.tasks[i], &self.params).hash_lookups
     }
 }
 
@@ -132,7 +124,12 @@ mod tests {
     fn some_region_produces_alternate_haplotypes() {
         let k = DbgKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let with_alts = (0..k.num_tasks())
-            .filter(|&i| assemble_region(&k.sub.tasks[i], &k.params).haplotypes.len() > 1)
+            .filter(|&i| {
+                gb_assembly::dbg::assemble_region(&k.sub.tasks[i], &k.params)
+                    .haplotypes
+                    .len()
+                    > 1
+            })
             .count();
         assert!(with_alts > 0, "no region assembled an alternate haplotype");
     }

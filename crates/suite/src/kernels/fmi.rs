@@ -1,16 +1,15 @@
 //! The **fmi** kernel: SMEM search over an FM-index (paper §III, from
 //! BWA-MEM2).
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::seq::DnaSeq;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::reads::{simulate_reads, ReadSimConfig};
 use gb_dp::DpEngine;
 use gb_fmi::bidir::BiIndex;
-use gb_fmi::smem::{collect_smems, collect_smems_probed, SmemConfig};
-use gb_uarch::cache::CacheProbe;
-use gb_uarch::probe::NullProbe;
+use gb_fmi::smem::{collect_smems_probed, SmemConfig};
+use gb_uarch::probe::{Probe, Tee};
 use std::sync::Arc;
 
 /// Deterministic build product of the fmi prepare phase: the
@@ -67,6 +66,32 @@ impl KernelSpec for FmiKernel {
         }
     }
 
+    fn num_tasks(&self) -> usize {
+        self.sub.reads.len()
+    }
+
+    // PANIC-FREE: callers keep `i < num_tasks()`, the documented
+    // `KernelSpec::task` contract.
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut {
+        // Work is Occ-table lookups: every load the search reports,
+        // counted in front of the caller's probe in the same run.
+        let mut counted = Tee(LoadCount(0), probe);
+        let smems = collect_smems_probed(
+            &self.sub.index,
+            &self.sub.reads[i],
+            &self.config,
+            &mut counted,
+        );
+        TaskOut {
+            checksum: smems
+                .iter()
+                .map(|m| (m.end - m.start) as u64 ^ u64::from(m.interval.s).rotate_left(17))
+                .fold(0, u64::wrapping_add),
+            work: counted.0 .0,
+            ..TaskOut::default()
+        }
+    }
+
     /// Builds the index and simulates the read set.
     ///
     /// The reference is sized so the index working set exceeds the
@@ -98,46 +123,13 @@ impl KernelSpec for FmiKernel {
     }
 }
 
-impl FmiKernel {
-    /// The index heap footprint in bytes.
-    pub fn index_bytes(&self) -> usize {
-        self.sub.index.heap_bytes()
-    }
-}
+/// Counts the loads a run reports and nothing else.
+struct LoadCount(u64);
 
-impl Kernel for FmiKernel {
-    fn id(&self) -> KernelId {
-        KernelId::Fmi
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.sub.reads.len()
-    }
-
-    // PANIC-FREE: the pool only calls `run_task` with `i < num_tasks()`,
-    // the documented `Kernel` contract.
-    fn run_task(&self, i: usize) -> u64 {
-        let smems = collect_smems(&self.sub.index, &self.sub.reads[i], &self.config);
-        smems
-            .iter()
-            .map(|m| (m.end - m.start) as u64 ^ u64::from(m.interval.s).rotate_left(17))
-            .fold(0, u64::wrapping_add)
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        let _ = collect_smems_probed(&self.sub.index, &self.sub.reads[i], &self.config, probe);
-    }
-
-    fn task_work(&self, i: usize) -> u64 {
-        // Occ-table lookups: counted by a mix-only probe.
-        let mut probe = gb_uarch::mix::MixProbe::new();
-        let _ = collect_smems_probed(
-            &self.sub.index,
-            &self.sub.reads[i],
-            &self.config,
-            &mut probe,
-        );
-        probe.mix().loads
+impl Probe for LoadCount {
+    #[inline(always)]
+    fn load(&mut self, _addr: u64, _bytes: u32) {
+        self.0 += 1;
     }
 }
 
@@ -148,12 +140,6 @@ impl std::fmt::Debug for FmiKernel {
             .field("index_bytes", &self.sub.index.heap_bytes())
             .finish()
     }
-}
-
-// Compile-time check that the uninstrumented path exists too; never called.
-#[allow(dead_code)]
-fn _assert_probe_compat(k: &FmiKernel) {
-    let _ = collect_smems_probed(&k.sub.index, &k.sub.reads[0], &k.config, &mut NullProbe);
 }
 
 #[cfg(test)]
@@ -172,8 +158,14 @@ mod tests {
     }
 
     #[test]
-    fn task_work_is_positive() {
+    fn task_work_is_the_mix_probes_load_count() {
         let k = FmiKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         assert!(k.task_work(0) > 100, "a 151-bp read needs many occ lookups");
+        for i in 0..k.num_tasks() {
+            let mut mix = gb_uarch::mix::MixProbe::new();
+            let out = k.task(i, &mut mix);
+            assert_eq!(out.work, mix.mix().loads, "read {i}");
+            assert_eq!(out.work, k.task_work(i), "read {i}");
+        }
     }
 }

@@ -1,14 +1,13 @@
 //! The **grm** kernel: genomic relationship matrix (paper §III, from
 //! PLINK2).
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::matrix::Matrix;
 use gb_datagen::genotypes::GenotypeMatrix;
 use gb_dp::DpEngine;
-use gb_popgen::grm::{grm_from_z_probed, standardize};
-use gb_uarch::cache::CacheProbe;
-use gb_uarch::probe::{NullProbe, Probe};
+use gb_popgen::grm::standardize;
+use gb_uarch::probe::Probe;
 use std::sync::Arc;
 
 /// Rows per task stripe (tasks = output row blocks, the regular-compute
@@ -60,31 +59,22 @@ impl KernelSpec for GrmKernel {
         GrmKernel { sub }
     }
 
-    /// Generates the genotype matrix and standardizes it once (as PLINK
-    /// does before the product).
-    fn build_substrate(size: DatasetSize) -> GrmSubstrate {
-        let (individuals, markers) = match size {
-            DatasetSize::Tiny => (64, 500),
-            DatasetSize::Small => (512, 4_000),
-            DatasetSize::Large => (1_280, 12_000),
-        };
-        let geno = GenotypeMatrix::generate(individuals, markers, seeds::GENOTYPES);
-        GrmSubstrate {
-            z: standardize(&geno),
-        }
+    fn num_tasks(&self) -> usize {
+        self.sub.z.rows().div_ceil(STRIPE)
     }
-}
 
-impl GrmKernel {
-    fn stripe_product(&self, stripe: usize, probe: &mut CacheProbe) -> u64 {
-        // Blocked loop order (j outer, stripe rows inner): each zj row is
-        // streamed from memory once per stripe and reused from L1 across
-        // the stripe's rows, the way PLINK's tiled product behaves.
+    /// One stripe of output rows, blocked (j outer, stripe rows inner):
+    /// each zj row is streamed from memory once per stripe and reused
+    /// from L1 across the stripe's rows, the way PLINK's tiled product
+    /// behaves.
+    // PANIC-FREE: `i`/`j` stay below `n` and `k` below `s`, the matrix's
+    // own shape.
+    fn task<P: Probe>(&self, stripe: usize, probe: &mut P) -> TaskOut {
         let (n, s) = self.sub.z.shape();
         let lo = stripe * STRIPE;
         let hi = (lo + STRIPE).min(n);
         let inv_s = 1.0 / s as f32;
-        let mut acc = 0u64;
+        let mut checksum = 0u64;
         for j in lo..n {
             let zj = self.sub.z.row(j);
             for i in lo..hi.min(j + 1) {
@@ -104,64 +94,36 @@ impl GrmKernel {
                 }
                 probe.int_ops(2);
                 probe.branch(true);
-                acc = acc.wrapping_add((dot * inv_s * 1e3) as i64 as u64);
+                checksum = checksum.wrapping_add((dot * inv_s * 1e3) as i64 as u64);
             }
         }
-        acc
-    }
-}
-
-impl Kernel for GrmKernel {
-    fn id(&self) -> KernelId {
-        KernelId::Grm
+        TaskOut {
+            checksum,
+            work: self.task_work(stripe),
+            ..TaskOut::default()
+        }
     }
 
-    fn num_tasks(&self) -> usize {
-        self.sub.z.rows().div_ceil(STRIPE)
-    }
-
-    fn run_task(&self, i: usize) -> u64 {
-        self.stripe_product_timed(i)
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        let _ = self.stripe_product(i, probe);
-    }
-
+    /// Multiply-accumulates of the stripe's share of the upper triangle.
     fn task_work(&self, i: usize) -> u64 {
         let (n, s) = self.sub.z.shape();
         let lo = i * STRIPE;
         let hi = (lo + STRIPE).min(n);
         ((lo..hi).map(|r| n - r).sum::<usize>() * s) as u64
     }
-}
 
-impl GrmKernel {
-    // PANIC-FREE: `i`/`j` stay below `n` and `k` below `s`, the matrix's
-    // own shape.
-    fn stripe_product_timed(&self, stripe: usize) -> u64 {
-        let (n, s) = self.sub.z.shape();
-        let lo = stripe * STRIPE;
-        let hi = (lo + STRIPE).min(n);
-        let inv_s = 1.0 / s as f32;
-        let mut acc = 0u64;
-        for i in lo..hi {
-            let zi = self.sub.z.row(i);
-            for j in i..n {
-                let zj = self.sub.z.row(j);
-                let mut dot = 0.0f32;
-                for k in 0..s {
-                    dot += zi[k] * zj[k];
-                }
-                acc = acc.wrapping_add((dot * inv_s * 1e3) as i64 as u64);
-            }
+    /// Generates the genotype matrix and standardizes it once (as PLINK
+    /// does before the product).
+    fn build_substrate(size: DatasetSize) -> GrmSubstrate {
+        let (individuals, markers) = match size {
+            DatasetSize::Tiny => (64, 500),
+            DatasetSize::Small => (512, 4_000),
+            DatasetSize::Large => (1_280, 12_000),
+        };
+        let geno = GenotypeMatrix::generate(individuals, markers, seeds::GENOTYPES);
+        GrmSubstrate {
+            z: standardize(&geno),
         }
-        acc
-    }
-
-    /// Full-matrix reference using the library kernel (validation).
-    pub fn full_grm(&self) -> Matrix {
-        grm_from_z_probed(&self.sub.z, 32, &mut NullProbe)
     }
 }
 
@@ -190,12 +152,10 @@ mod tests {
     #[test]
     fn stripes_cover_the_full_product() {
         let k = GrmKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
-        let g = k.full_grm();
         // Sum of stripe checksums must reflect every (i, j>=i) pair: the
         // stripe work adds up to the upper triangle.
         let total_work: u64 = (0..k.num_tasks()).map(|i| k.task_work(i)).sum();
         let (n, s) = k.sub.z.shape();
         assert_eq!(total_work, (n * (n + 1) / 2 * s) as u64);
-        assert_eq!(g.shape(), (n, n));
     }
 }

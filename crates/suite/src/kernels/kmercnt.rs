@@ -1,14 +1,14 @@
 //! The **kmer-cnt** kernel: canonical k-mer counting (paper §III, from
 //! Flye).
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
-use gb_assembly::kmer_count::{count_kmers, count_kmers_probed, KmerCountParams};
+use gb_assembly::kmer_count::{count_kmers_prefetched, KmerCountParams, BATCH};
 use gb_core::seq::DnaSeq;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::reads::{simulate_reads, ReadSimConfig};
 use gb_dp::DpEngine;
-use gb_uarch::cache::CacheProbe;
+use gb_uarch::probe::Probe;
 use std::sync::Arc;
 
 /// Deterministic build product of the kmer-cnt prepare phase: the
@@ -64,6 +64,35 @@ impl KernelSpec for KmerCntKernel {
         }
     }
 
+    fn num_tasks(&self) -> usize {
+        self.sub.shards.len()
+    }
+
+    /// Counts one shard with the table's [`BATCH`]-key early touch — on
+    /// the simulated path too, so the hierarchy is fed the program that
+    /// is timed (the paper's one-update-at-a-time pattern is window 1 of
+    /// the ablation).
+    // PANIC-FREE: callers keep `i < num_tasks()`, the documented
+    // `KernelSpec::task` contract.
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut {
+        let (table, stats) =
+            count_kmers_prefetched(&self.sub.shards[i], &self.params, BATCH, probe);
+        TaskOut {
+            checksum: stats.kmers_processed.wrapping_add(table.len() as u64),
+            work: self.task_work(i),
+            ..TaskOut::default()
+        }
+    }
+
+    /// K-mers in the shard: known from the read lengths.
+    // PANIC-FREE: as `task`.
+    fn task_work(&self, i: usize) -> u64 {
+        self.sub.shards[i]
+            .iter()
+            .map(|r| r.len().saturating_sub(self.params.k - 1) as u64)
+            .sum()
+    }
+
     /// Simulates a long-read set and splits it into per-task shards.
     fn build_substrate(size: DatasetSize) -> KmerCntSubstrate {
         let (total_bases, shard_bases) = match size {
@@ -101,46 +130,6 @@ impl KernelSpec for KmerCntKernel {
     }
 }
 
-impl KmerCntKernel {
-    /// The counting parameters (exposed for the ablation benches).
-    pub fn params(&self) -> &KmerCountParams {
-        &self.params
-    }
-
-    /// The read shards (exposed for the ablation benches).
-    pub fn shards(&self) -> &[Vec<DnaSeq>] {
-        &self.sub.shards
-    }
-}
-
-impl Kernel for KmerCntKernel {
-    fn id(&self) -> KernelId {
-        KernelId::KmerCnt
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.sub.shards.len()
-    }
-
-    // PANIC-FREE: the pool only calls `run_task` with `i < num_tasks()`,
-    // the documented `Kernel` contract.
-    fn run_task(&self, i: usize) -> u64 {
-        let (table, stats) = count_kmers(&self.sub.shards[i], &self.params);
-        stats.kmers_processed.wrapping_add(table.len() as u64)
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        let _ = count_kmers_probed(&self.sub.shards[i], &self.params, probe);
-    }
-
-    fn task_work(&self, i: usize) -> u64 {
-        self.sub.shards[i]
-            .iter()
-            .map(|r| r.len().saturating_sub(self.params.k - 1) as u64)
-            .sum()
-    }
-}
-
 impl std::fmt::Debug for KmerCntKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KmerCntKernel")
@@ -165,7 +154,7 @@ mod tests {
     fn shard_tables_exceed_llc_at_small() {
         // The characterization depends on the table busting the 8 MB LLC.
         let k = KmerCntKernel::prepare(DatasetSize::Small, DpEngine::Scalar);
-        let (table, _) = count_kmers(&k.sub.shards[0], &k.params);
+        let (table, _) = gb_assembly::kmer_count::count_kmers(&k.sub.shards[0], &k.params);
         assert!(
             table.heap_bytes() > 8 << 20,
             "table only {} bytes",

@@ -2,14 +2,16 @@
 //!
 //! Each kernel is described once, by the [`KernelSpec`] in its own file
 //! (the paper's Tables I–III row as [`KernelMeta`], the cacheable
-//! substrate build, the per-run instantiate); [`KernelId::spec`] is the
-//! registry over them. Every kernel prepares its dataset once
-//! ([`prepare`], [`prepare_cached`]) and then exposes independent *tasks*
-//! — the unit of data parallelism from the paper's Table III (reads,
-//! genome regions, read-pair anchor sets, consensus windows, …). Generic
-//! runners execute the tasks serially, with dynamic scheduling across
-//! threads (Fig. 7), or instrumented through the cache simulator
-//! (Figs. 5/6/8/9).
+//! substrate build, the per-run instantiate, and the one body of a task);
+//! [`KernelId::spec`] is the registry over them. Every kernel prepares its
+//! dataset once ([`prepare`], [`prepare_cached`]) and then exposes
+//! independent *tasks* — the unit of data parallelism from the paper's
+//! Table III (reads, genome regions, read-pair anchor sets, consensus
+//! windows, …). A task is one function, [`KernelSpec::task`], generic
+//! over the [`Probe`] it reports to: the generic runners execute it
+//! serially, with dynamic scheduling across threads (Fig. 7), or through
+//! the cache simulator (Figs. 5/6/8/9), and every one of them gets the
+//! task's checksum, work and slot accounting from that same run.
 
 pub mod abea;
 pub mod bsw;
@@ -25,12 +27,14 @@ pub mod pileup;
 pub mod spoa;
 
 use crate::dataset::DatasetSize;
-use crate::pool::{run_dynamic, run_dynamic_instrumented};
+use crate::pool::{run_dynamic, run_dynamic_instrumented, Fold};
+use gb_dp::lockstep::BatchReport;
 pub use gb_dp::DpEngine;
 use gb_obs::{Recorder, TaskStats};
 use gb_substrate::{CacheOutcome, SubstrateCache, SubstrateKey};
 use gb_uarch::cache::CacheProbe;
 use gb_uarch::mix::InstructionMix;
+use gb_uarch::probe::{NullProbe, Probe};
 use gb_uarch::topdown::{CoreModel, TopDownReport};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -154,8 +158,29 @@ impl std::str::FromStr for KernelId {
     }
 }
 
+/// What one task returns — all three are values the engines hand back
+/// anyway. The pool folds them over a run ([`RunStats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TaskOut {
+    /// The task's contribution to the run's order-insensitive checksum.
+    pub checksum: u64,
+    /// The work the task did, in the kernel's [`KernelId::work_unit`]s.
+    pub work: u64,
+    /// Vector-slot accounting of a SIMD engine; empty on scalar engines
+    /// and on kernels without lockstep lanes.
+    pub slots: BatchReport,
+}
+
+impl Fold for TaskOut {
+    fn merge(&mut self, other: TaskOut) {
+        self.checksum = self.checksum.wrapping_add(other.checksum);
+        self.work = self.work.wrapping_add(other.work);
+        self.slots.merge(&other.slots);
+    }
+}
+
 /// Outcome of executing every task of a kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Wall-clock time.
     pub elapsed: Duration,
@@ -164,6 +189,12 @@ pub struct RunStats {
     /// Order-insensitive checksum over task outputs (detects divergence
     /// between serial and parallel execution).
     pub checksum: u64,
+    /// Work done by the tasks that were timed, in the kernel's
+    /// [`KernelId::work_unit`]s; equals [`total_work`].
+    pub work: u64,
+    /// The timed tasks' folded slot accounting ([`Kernel::gauges`]
+    /// formats it).
+    pub slots: BatchReport,
     /// Per-task latency percentiles and worker utilization; present only
     /// on instrumented runs ([`run_parallel_instrumented`]).
     pub task_stats: Option<TaskStats>,
@@ -185,7 +216,9 @@ pub struct Characterization {
     pub tasks_sampled: usize,
 }
 
-/// A prepared kernel: dataset in memory, tasks ready to run.
+/// A prepared kernel: dataset in memory, tasks ready to run. The
+/// object-safe face of [`KernelSpec`], which is where every method is
+/// written; this trait has the one blanket implementation.
 pub trait Kernel: Send + Sync {
     /// Which kernel this is.
     fn id(&self) -> KernelId;
@@ -197,8 +230,12 @@ pub trait Kernel: Send + Sync {
     /// checksum contribution.
     fn run_task(&self, i: usize) -> u64;
 
+    /// Executes task `i` on the timed path, returning everything it
+    /// produced.
+    fn task_out(&self, i: usize) -> TaskOut;
+
     /// Executes task `i` with instrumentation.
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe);
+    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) -> TaskOut;
 
     /// The per-task work measure of Table III / Fig. 4 (cell updates,
     /// lookups, anchors, …).
@@ -206,10 +243,57 @@ pub trait Kernel: Send + Sync {
 
     /// Engine- or kernel-specific gauges worth exporting alongside run
     /// metrics (name, value) — e.g. the bsw SIMD engine's dead-slot
-    /// fractions. Most kernels have none.
-    fn export_gauges(&self) -> Vec<(String, f64)> {
-        Vec::new()
+    /// fraction — formatted from a run's folded [`RunStats::slots`].
+    /// Most kernels have none.
+    fn gauges(&self, slots: &BatchReport) -> Vec<(String, f64)>;
+}
+
+impl<K: KernelSpec> Kernel for K {
+    fn id(&self) -> KernelId {
+        K::META.id
     }
+
+    fn num_tasks(&self) -> usize {
+        KernelSpec::num_tasks(self)
+    }
+
+    fn run_task(&self, i: usize) -> u64 {
+        self.task_out(i).checksum
+    }
+
+    fn task_out(&self, i: usize) -> TaskOut {
+        self.task(i, &mut NullProbe)
+    }
+
+    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) -> TaskOut {
+        self.task(i, probe)
+    }
+
+    fn task_work(&self, i: usize) -> u64 {
+        KernelSpec::task_work(self, i)
+    }
+
+    fn gauges(&self, slots: &BatchReport) -> Vec<(String, f64)> {
+        KernelSpec::gauges(self, slots)
+    }
+}
+
+/// A SIMD engine's folded slot accounting as the two gauges the lockstep
+/// kernels export, under the names the kernel gives them; scalar engines
+/// export none.
+fn slot_gauges(
+    engine: DpEngine,
+    dead: &str,
+    retired: &str,
+    slots: &BatchReport,
+) -> Vec<(String, f64)> {
+    if engine != DpEngine::Simd {
+        return Vec::new();
+    }
+    vec![
+        (dead.to_string(), slots.dead_slot_fraction()),
+        (retired.to_string(), slots.retired_lanes as f64),
+    ]
 }
 
 /// One kernel's row of the paper's Tables I–III plus the suite's own
@@ -248,10 +332,11 @@ pub struct KernelMeta {
     pub engine_aware: bool,
 }
 
-/// A [`Kernel`] the registry can prepare: its metadata row, its
-/// deterministic cacheable build product, and the cheap per-run wrap of
-/// that product into a runnable kernel.
-pub trait KernelSpec: Kernel + Sized + 'static {
+/// Everything a kernel is: its metadata row, its deterministic cacheable
+/// build product, the cheap per-run wrap of that product into a runnable
+/// kernel, and the body of a task. [`Kernel`] is implemented for every
+/// `KernelSpec`.
+pub trait KernelSpec: Send + Sync + Sized + 'static {
     /// Deterministic build product of the prepare phase.
     type Substrate: gb_substrate::Codec + Send + Sync + 'static;
 
@@ -276,6 +361,27 @@ pub trait KernelSpec: Kernel + Sized + 'static {
     /// Cold prepare: builds the substrate and instantiates it.
     fn prepare(size: DatasetSize, engine: DpEngine) -> Self {
         Self::instantiate(Arc::new(Self::build_substrate(size)), engine)
+    }
+
+    /// Number of independent tasks.
+    fn num_tasks(&self) -> usize;
+
+    /// Task `i`, reporting its dynamic operations to `probe`: the timed
+    /// run (with [`NullProbe`], which compiles the reporting away), the
+    /// simulated run and the work count are this one function. Callers
+    /// keep `i < num_tasks()`.
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut;
+
+    /// The work of task `i` without keeping anything else. Overridden,
+    /// with a closed form that `task` itself calls, only where work is a
+    /// function of the input alone.
+    fn task_work(&self, i: usize) -> u64 {
+        self.task_out(i).work
+    }
+
+    /// See [`Kernel::gauges`]. Formats; never runs anything.
+    fn gauges(&self, _slots: &BatchReport) -> Vec<(String, f64)> {
+        Vec::new()
     }
 }
 
@@ -407,13 +513,8 @@ pub fn run_serial(kernel: &dyn Kernel) -> RunStats {
 /// Runs every task with dynamic scheduling over `threads` workers.
 pub fn run_parallel(kernel: &dyn Kernel, threads: usize) -> RunStats {
     let n = kernel.num_tasks();
-    let (checksum, elapsed) = run_dynamic(n, threads, |i| kernel.run_task(i));
-    RunStats {
-        elapsed,
-        tasks: n,
-        checksum,
-        task_stats: None,
-    }
+    let (out, elapsed) = run_dynamic(n, threads, |i| kernel.task_out(i));
+    RunStats::new(n, out, elapsed, None)
 }
 
 /// Like [`run_parallel`], but records per-task latencies and per-worker
@@ -427,13 +528,21 @@ pub fn run_parallel_instrumented<R: Recorder + ?Sized>(
 ) -> RunStats {
     let n = kernel.num_tasks();
     let name = kernel.id().name();
-    let (checksum, elapsed, task_stats) =
-        run_dynamic_instrumented(n, threads, |i| kernel.run_task(i), recorder, name);
-    RunStats {
-        elapsed,
-        tasks: n,
-        checksum,
-        task_stats: Some(task_stats),
+    let (out, elapsed, task_stats) =
+        run_dynamic_instrumented(n, threads, |i| kernel.task_out(i), recorder, name);
+    RunStats::new(n, out, elapsed, Some(task_stats))
+}
+
+impl RunStats {
+    fn new(tasks: usize, out: TaskOut, elapsed: Duration, task_stats: Option<TaskStats>) -> Self {
+        RunStats {
+            elapsed,
+            tasks,
+            checksum: out.checksum,
+            work: out.work,
+            slots: out.slots,
+            task_stats,
+        }
     }
 }
 
@@ -482,38 +591,16 @@ pub fn nnbase_gpu_report(size: DatasetSize) -> gb_simt::exec::GpuKernelReport {
 }
 
 /// Runs the bsw inter-sequence batch model at several configurations
-/// (Fig. 3): 16 lanes unsorted, 16 lanes length-sorted, 8 lanes unsorted,
-/// the executed i32 lockstep kernel, and the production i16 SoA SIMD
-/// engine (unsorted and length-sorted, for the slot-efficiency delta).
-pub fn bsw_batch_reports(size: DatasetSize) -> Vec<(String, gb_dp::bsw::BatchReport)> {
-    let k = bsw::BswKernel::prepare(size, DpEngine::Scalar);
-    vec![
-        ("16 lanes, unsorted".to_string(), k.batch_report(16, false)),
-        (
-            "16 lanes, length-sorted".to_string(),
-            k.batch_report(16, true),
-        ),
-        ("8 lanes, unsorted".to_string(), k.batch_report(8, false)),
-        (
-            "16 lanes, executed lockstep".to_string(),
-            k.lockstep_report(false),
-        ),
-        (
-            "i16 SIMD engine, unsorted".to_string(),
-            k.simd_report(false),
-        ),
-        (
-            "i16 SIMD engine, length-sorted".to_string(),
-            k.simd_report(true),
-        ),
-    ]
+/// (Fig. 3); see [`bsw::BswKernel::batch_reports`].
+pub fn bsw_batch_reports(size: DatasetSize) -> Vec<(String, BatchReport)> {
+    bsw::BswKernel::prepare(size, DpEngine::Scalar).batch_reports()
 }
 
 /// Total data-parallel work across every task, in the kernel's
-/// [`KernelId::work_unit`]s — the numerator of the manifest's
-/// throughput counters. Some kernels re-execute their tasks to count
-/// work, so this costs up to one extra serial pass; callers gather it
-/// only when exporting metrics or manifests.
+/// [`KernelId::work_unit`]s. A run already carries this as
+/// [`RunStats::work`]; counting it apart from a run re-executes the tasks
+/// of the kernels whose work is only known by running them, so it costs
+/// up to one extra serial pass.
 pub fn total_work(kernel: &dyn Kernel) -> u64 {
     (0..kernel.num_tasks())
         .map(|i| kernel.task_work(i))
@@ -631,6 +718,89 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `task` under three probes, for every task of `K` on both engines.
+    fn task_ignores_its_probe<K: KernelSpec>() {
+        for engine in ENGINES {
+            let k = K::prepare(DatasetSize::Tiny, engine);
+            let mut cache = CacheProbe::skylake_like();
+            for i in 0..KernelSpec::num_tasks(&k) {
+                let timed = k.task(i, &mut NullProbe);
+                let name = K::META.name;
+                let mix = k.task(i, &mut gb_uarch::mix::MixProbe::new());
+                assert_eq!(mix, timed, "{name} task {i}: MixProbe");
+                assert_eq!(k.task(i, &mut cache), timed, "{name} task {i}: CacheProbe");
+            }
+        }
+    }
+
+    #[test]
+    fn results_never_depend_on_the_probe() {
+        task_ignores_its_probe::<fmi::FmiKernel>();
+        task_ignores_its_probe::<bsw::BswKernel>();
+        task_ignores_its_probe::<dbg::DbgKernel>();
+        task_ignores_its_probe::<phmm::PhmmKernel>();
+        task_ignores_its_probe::<chain::ChainKernel>();
+        task_ignores_its_probe::<spoa::SpoaKernel>();
+        task_ignores_its_probe::<abea::AbeaKernel>();
+        task_ignores_its_probe::<kmercnt::KmerCntKernel>();
+        task_ignores_its_probe::<grm::GrmKernel>();
+        task_ignores_its_probe::<pileup::PileupKernel>();
+        task_ignores_its_probe::<nnbase::NnBaseKernel>();
+        task_ignores_its_probe::<nnvariant::NnVariantKernel>();
+    }
+
+    #[test]
+    fn a_run_counts_what_total_work_counts() {
+        // Each closed-form `task_work` override agrees with the run it
+        // shortcuts, and the pool's fold does not depend on the schedule.
+        for id in KernelId::ALL {
+            for engine in ENGINES {
+                let kernel = prepare_dp(id, DatasetSize::Tiny, engine);
+                let k = kernel.as_ref();
+                let mut folded = TaskOut::default();
+                (0..k.num_tasks()).for_each(|i| folded.merge(k.task_out(i)));
+                assert_eq!(folded.work, total_work(k), "{}", id.name());
+                let serial = run_parallel(k, 1);
+                let outcome = |s: &RunStats| (s.tasks, s.checksum, s.work, s.slots);
+                assert_eq!(
+                    outcome(&serial),
+                    (k.num_tasks(), folded.checksum, folded.work, folded.slots),
+                    "{}",
+                    id.name()
+                );
+                assert_eq!(
+                    outcome(&run_parallel(k, 3)),
+                    outcome(&serial),
+                    "{}",
+                    id.name()
+                );
+                let traced = run_parallel_instrumented(k, 3, &gb_obs::NullRecorder);
+                assert_eq!(outcome(&traced), outcome(&serial), "{}", id.name());
+            }
+        }
+    }
+
+    #[test]
+    fn engines_agree_on_work_and_only_simd_fills_slots() {
+        let mut lockstep = Vec::new();
+        for id in KernelId::ALL {
+            let scalar = prepare_dp(id, DatasetSize::Tiny, DpEngine::Scalar);
+            let simd = prepare_dp(id, DatasetSize::Tiny, DpEngine::Simd);
+            let (s, v) = (run_serial(scalar.as_ref()), run_serial(simd.as_ref()));
+            assert_eq!(s.work, v.work, "{}", id.name());
+            assert_eq!(s.slots, BatchReport::default(), "{}", id.name());
+            assert!(scalar.gauges(&s.slots).is_empty(), "{}", id.name());
+            if !simd.gauges(&v.slots).is_empty() {
+                assert!(v.slots.vector_cells >= v.slots.scalar_cells);
+                assert_eq!(v.slots.scalar_cells, v.work, "{}", id.name());
+                lockstep.push(id.name());
+            }
+        }
+        // phmm is engine-aware too, but its wavefront has no lockstep
+        // lanes to account for.
+        assert_eq!(lockstep, ["bsw", "spoa", "abea"]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The **nn-base** kernel: neural basecalling (paper §III, from Bonito).
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::signal::{simulate_signal, PoreModel, SignalSimConfig};
@@ -8,7 +8,7 @@ use gb_dp::DpEngine;
 use gb_nn::basecaller::{Basecaller, BasecallerConfig};
 use gb_simt::exec::GpuKernelReport;
 use gb_simt::kernels::{bonito_like_layers, model_nn_base_gpu, GemmGpuParams};
-use gb_uarch::cache::CacheProbe;
+use gb_uarch::probe::Probe;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -61,6 +61,36 @@ impl KernelSpec for NnBaseKernel {
         NnBaseKernel { sub }
     }
 
+    fn num_tasks(&self) -> usize {
+        self.sub.chunks.len()
+    }
+
+    /// Infers one chunk and CTC-decodes it.
+    // PANIC-FREE: callers keep `i < num_tasks()`, the documented
+    // `KernelSpec::task` contract.
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut {
+        let posteriors = self
+            .sub
+            .model
+            .forward_chunk_probed(&self.sub.chunks[i], probe);
+        let decoded = gb_nn::ctc::greedy_decode(&posteriors);
+        TaskOut {
+            checksum: decoded
+                .as_codes()
+                .iter()
+                .fold(decoded.len() as u64, |acc, &c| {
+                    acc.wrapping_mul(7).wrapping_add(u64::from(c))
+                }),
+            work: self.task_work(i),
+            ..TaskOut::default()
+        }
+    }
+
+    /// Multiply-accumulates per chunk: a constant of the network.
+    fn task_work(&self, _i: usize) -> u64 {
+        self.sub.model.flops_per_chunk()
+    }
+
     /// Simulates raw nanopore signal and splits it into the model's
     /// 4,000-sample chunks.
     fn build_substrate(size: DatasetSize) -> NnBaseSubstrate {
@@ -107,48 +137,6 @@ impl NnBaseKernel {
             &GemmGpuParams::default(),
             gb_simt::GpuConfig::default(),
         )
-    }
-
-    /// Multiply-accumulates per chunk.
-    pub fn flops_per_chunk(&self) -> u64 {
-        self.sub.model.flops_per_chunk()
-    }
-}
-
-impl Kernel for NnBaseKernel {
-    fn id(&self) -> KernelId {
-        KernelId::NnBase
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.sub.chunks.len()
-    }
-
-    // PANIC-FREE: the pool only calls `run_task` with `i < num_tasks()`,
-    // the documented `Kernel` contract.
-    fn run_task(&self, i: usize) -> u64 {
-        let posteriors = self
-            .sub
-            .model
-            .forward_chunk_probed(&self.sub.chunks[i], &mut gb_uarch::probe::NullProbe);
-        let decoded = gb_nn::ctc::greedy_decode(&posteriors);
-        decoded
-            .as_codes()
-            .iter()
-            .fold(decoded.len() as u64, |acc, &c| {
-                acc.wrapping_mul(7).wrapping_add(u64::from(c))
-            })
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        let _ = self
-            .sub
-            .model
-            .forward_chunk_probed(&self.sub.chunks[i], probe);
-    }
-
-    fn task_work(&self, _i: usize) -> u64 {
-        self.sub.model.flops_per_chunk()
     }
 }
 

@@ -1,7 +1,7 @@
 //! The **nn-variant** kernel: neural variant calling (paper §III, from
 //! Clair).
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::record::AlignmentRecord;
 use gb_core::region::{Region, RegionTask};
@@ -11,7 +11,7 @@ use gb_dp::DpEngine;
 use gb_nn::variant_caller::{VariantCaller, VariantCallerConfig};
 use gb_pileup::feature::{clair_tensor, ClairTensor};
 use gb_pileup::pileup::count_pileup;
-use gb_uarch::cache::CacheProbe;
+use gb_uarch::probe::Probe;
 use std::sync::Arc;
 
 /// Deterministic build product of the nn-variant prepare phase: the
@@ -62,6 +62,33 @@ impl KernelSpec for NnVariantKernel {
         NnVariantKernel { sub }
     }
 
+    fn num_tasks(&self) -> usize {
+        self.sub.tensors.len()
+    }
+
+    // PANIC-FREE: callers keep `i < num_tasks()`, the documented
+    // `KernelSpec::task` contract.
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut {
+        let call = self.sub.model.call_probed(&self.sub.tensors[i], probe);
+        TaskOut {
+            checksum: call
+                .zygosity_probs
+                .iter()
+                .chain(&call.type_probs)
+                .chain(&call.alt_probs)
+                .fold(0u64, |acc, &p| {
+                    acc.wrapping_mul(31).wrapping_add((p * 1e6) as u64)
+                }),
+            work: self.task_work(i),
+            ..TaskOut::default()
+        }
+    }
+
+    /// Multiply-accumulates per call: a constant of the network.
+    fn task_work(&self, _i: usize) -> u64 {
+        self.sub.model.flops_per_call()
+    }
+
     /// Builds the full pre-processing chain: simulate long-read
     /// alignments, pileup-count them, and cut candidate tensors at
     /// regularly spaced reference positions (the paper's "first 10,000 /
@@ -102,44 +129,6 @@ impl KernelSpec for NnVariantKernel {
             .collect();
         let model = VariantCaller::new(&VariantCallerConfig::default(), seeds::WEIGHTS ^ 0xC1);
         NnVariantSubstrate { model, tensors }
-    }
-}
-
-impl NnVariantKernel {
-    /// Multiply-accumulates per call.
-    pub fn flops_per_call(&self) -> u64 {
-        self.sub.model.flops_per_call()
-    }
-}
-
-impl Kernel for NnVariantKernel {
-    fn id(&self) -> KernelId {
-        KernelId::NnVariant
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.sub.tensors.len()
-    }
-
-    // PANIC-FREE: the pool only calls `run_task` with `i < num_tasks()`,
-    // the documented `Kernel` contract.
-    fn run_task(&self, i: usize) -> u64 {
-        let call = self.sub.model.call(&self.sub.tensors[i]);
-        call.zygosity_probs
-            .iter()
-            .chain(&call.type_probs)
-            .chain(&call.alt_probs)
-            .fold(0u64, |acc, &p| {
-                acc.wrapping_mul(31).wrapping_add((p * 1e6) as u64)
-            })
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        let _ = self.sub.model.call_probed(&self.sub.tensors[i], probe);
-    }
-
-    fn task_work(&self, _i: usize) -> u64 {
-        self.sub.model.flops_per_call()
     }
 }
 

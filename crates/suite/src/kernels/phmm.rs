@@ -8,7 +8,7 @@
 //! first for the dynamic pool). Per-pair likelihoods are bit-identical,
 //! so both engines produce the same run checksum.
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
 use gb_assembly::dbg::{assemble_region, DbgParams};
 use gb_core::record::ReadRecord;
@@ -16,10 +16,10 @@ use gb_core::seq::DnaSeq;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::reads::ReadSimConfig;
 use gb_datagen::regions::{build_region_tasks, RegionSimConfig};
-use gb_dp::phmm::{forward_likelihood, forward_likelihood_probed, HmmParams};
-use gb_dp::phmm_wavefront::{wavefront_likelihood, wavefront_likelihood_probed};
+use gb_dp::phmm::{forward_likelihood_probed, HmmParams};
+use gb_dp::phmm_wavefront::wavefront_likelihood_probed;
 use gb_dp::DpEngine;
-use gb_uarch::cache::CacheProbe;
+use gb_uarch::probe::Probe;
 use std::sync::Arc;
 
 /// One phmm task: a genome region's reads evaluated against its candidate
@@ -73,11 +73,21 @@ pub struct PhmmKernel {
     engine: DpEngine,
 }
 
+impl PhmmTask {
+    /// DP cells of the region's `|R| x |H|` pairwise likelihoods: known
+    /// from the lengths alone.
+    fn cells(&self) -> u64 {
+        let reads: u64 = self.reads.iter().map(|r| r.len() as u64).sum();
+        let haps: u64 = self.haplotypes.iter().map(|h| h.len() as u64).sum();
+        reads.wrapping_mul(haps)
+    }
+}
+
 impl PhmmKernel {
-    /// The region task the pool's task `i` executes.
-    // PANIC-FREE: `order` is a permutation of `0..tasks.len()` and the
-    // pool keeps `i < num_tasks()`.
-    fn task(&self, i: usize) -> &PhmmTask {
+    /// The region the pool's task `i` executes.
+    // PANIC-FREE: `order` is a permutation of `0..tasks.len()` and
+    // callers keep `i < num_tasks()`.
+    fn region(&self, i: usize) -> &PhmmTask {
         &self.sub.tasks[self.order[i]]
     }
 }
@@ -110,12 +120,7 @@ impl KernelSpec for PhmmKernel {
     fn instantiate(sub: Arc<PhmmSubstrate>, engine: DpEngine) -> PhmmKernel {
         let mut order: Vec<usize> = (0..sub.tasks.len()).collect();
         if engine == DpEngine::Simd {
-            order.sort_by_key(|&i| {
-                let t = &sub.tasks[i];
-                let reads: u64 = t.reads.iter().map(|r| r.len() as u64).sum();
-                let haps: u64 = t.haplotypes.iter().map(|h| h.len() as u64).sum();
-                std::cmp::Reverse(reads.wrapping_mul(haps))
-            });
+            order.sort_by_key(|&i| std::cmp::Reverse(sub.tasks[i].cells()));
         }
         PhmmKernel {
             sub,
@@ -123,6 +128,36 @@ impl KernelSpec for PhmmKernel {
             params: HmmParams::default(),
             engine,
         }
+    }
+
+    fn num_tasks(&self) -> usize {
+        self.sub.tasks.len()
+    }
+
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut {
+        let t = self.region(i);
+        let mut checksum = 0u64;
+        for read in &t.reads {
+            for hap in &t.haplotypes {
+                // Both engines produce bit-identical likelihoods (see
+                // crates/dp/tests/dp_engines_diff.rs), so the checksum
+                // contribution is engine-independent.
+                let r = match self.engine {
+                    DpEngine::Scalar => forward_likelihood_probed(read, hap, &self.params, probe),
+                    DpEngine::Simd => wavefront_likelihood_probed(read, hap, &self.params, probe),
+                };
+                checksum = checksum.wrapping_add((r.log10_likelihood * -16.0) as u64);
+            }
+        }
+        TaskOut {
+            checksum,
+            work: t.cells(),
+            ..TaskOut::default()
+        }
+    }
+
+    fn task_work(&self, i: usize) -> u64 {
+        self.region(i).cells()
     }
 
     /// Builds the realistic GATK front-to-back input: regions are
@@ -168,59 +203,6 @@ impl KernelSpec for PhmmKernel {
             })
             .collect();
         PhmmSubstrate { tasks }
-    }
-}
-
-impl Kernel for PhmmKernel {
-    fn id(&self) -> KernelId {
-        KernelId::Phmm
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.sub.tasks.len()
-    }
-
-    fn run_task(&self, i: usize) -> u64 {
-        let t = self.task(i);
-        let mut acc = 0u64;
-        for read in &t.reads {
-            for hap in &t.haplotypes {
-                // Both engines produce bit-identical likelihoods (see
-                // crates/dp/tests/dp_engines_diff.rs), so the checksum
-                // contribution is engine-independent.
-                let r = match self.engine {
-                    DpEngine::Scalar => forward_likelihood(read, hap, &self.params),
-                    DpEngine::Simd => wavefront_likelihood(read, hap, &self.params),
-                };
-                acc = acc.wrapping_add((r.log10_likelihood * -16.0) as u64);
-            }
-        }
-        acc
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        let t = self.task(i);
-        for read in &t.reads {
-            for hap in &t.haplotypes {
-                match self.engine {
-                    DpEngine::Scalar => {
-                        let _ = forward_likelihood_probed(read, hap, &self.params, probe);
-                    }
-                    DpEngine::Simd => {
-                        let _ = wavefront_likelihood_probed(read, hap, &self.params, probe);
-                    }
-                }
-            }
-        }
-    }
-
-    fn task_work(&self, i: usize) -> u64 {
-        let t = self.task(i);
-        t.reads
-            .iter()
-            .map(|r| r.len() as u64)
-            .sum::<u64>()
-            .wrapping_mul(t.haplotypes.iter().map(|h| h.len() as u64).sum::<u64>())
     }
 }
 

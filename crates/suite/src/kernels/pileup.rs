@@ -1,15 +1,15 @@
 //! The **pileup** kernel: per-region base/indel counting (paper §III,
 //! from Medaka).
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::record::AlignmentRecord;
 use gb_core::region::{Region, RegionTask};
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::reads::{simulate_reads, ReadSimConfig};
 use gb_dp::DpEngine;
-use gb_pileup::pileup::{count_pileup, count_pileup_probed};
-use gb_uarch::cache::CacheProbe;
+use gb_pileup::pileup::count_pileup_probed;
+use gb_uarch::probe::Probe;
 use std::sync::Arc;
 
 /// Region width per task (the paper's 100-kilobase Medaka windows,
@@ -59,6 +59,23 @@ impl KernelSpec for PileupKernel {
 
     fn instantiate(sub: Arc<PileupSubstrate>, _engine: DpEngine) -> PileupKernel {
         PileupKernel { sub }
+    }
+
+    fn num_tasks(&self) -> usize {
+        self.sub.tasks.len()
+    }
+
+    // PANIC-FREE: callers keep `i < num_tasks()`, the documented
+    // `KernelSpec::task` contract.
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut {
+        let p = count_pileup_probed(&self.sub.tasks[i], probe);
+        TaskOut {
+            checksum: p.counts.iter().step_by(97).fold(p.ops_walked, |acc, c| {
+                acc.wrapping_mul(31).wrapping_add(u64::from(c.depth()))
+            }),
+            work: p.ops_walked,
+            ..TaskOut::default()
+        }
     }
 
     /// Simulates ONT-like long-read alignments across the genome and
@@ -111,33 +128,6 @@ impl PileupKernel {
     /// The region tasks (shared with the nn-variant front-end).
     pub fn tasks(&self) -> &[RegionTask] {
         &self.sub.tasks
-    }
-}
-
-impl Kernel for PileupKernel {
-    fn id(&self) -> KernelId {
-        KernelId::Pileup
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.sub.tasks.len()
-    }
-
-    // PANIC-FREE: the pool only calls `run_task` with `i < num_tasks()`,
-    // the documented `Kernel` contract.
-    fn run_task(&self, i: usize) -> u64 {
-        let p = count_pileup(&self.sub.tasks[i]);
-        p.counts.iter().step_by(97).fold(p.ops_walked, |acc, c| {
-            acc.wrapping_mul(31).wrapping_add(u64::from(c.depth()))
-        })
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        let _ = count_pileup_probed(&self.sub.tasks[i], probe);
-    }
-
-    fn task_work(&self, i: usize) -> u64 {
-        count_pileup(&self.sub.tasks[i]).ops_walked
     }
 }
 

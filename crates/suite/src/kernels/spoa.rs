@@ -9,7 +9,7 @@
 //! bit-identical scores, paths and graphs, so the two engines produce
 //! the same run checksum.
 
-use super::{Kernel, KernelId, KernelMeta, KernelSpec};
+use super::{slot_gauges, KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
 use gb_core::seq::DnaSeq;
 use gb_datagen::genome::{Genome, GenomeConfig};
@@ -17,8 +17,8 @@ use gb_datagen::reads::{simulate_reads, ErrorProfile, ReadSimConfig};
 use gb_dp::lockstep::BatchReport;
 use gb_dp::DpEngine;
 use gb_poa::align::PoaParams;
-use gb_poa::consensus::{window_consensus_engine, window_consensus_engine_probed};
-use gb_uarch::cache::CacheProbe;
+use gb_poa::consensus::window_consensus_engine_probed;
+use gb_uarch::probe::Probe;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -77,6 +77,37 @@ impl KernelSpec for SpoaKernel {
         }
     }
 
+    fn num_tasks(&self) -> usize {
+        self.sub.windows.len()
+    }
+
+    // PANIC-FREE: callers keep `i < num_tasks()`, the documented
+    // `KernelSpec::task` contract.
+    fn task<P: Probe>(&self, i: usize, probe: &mut P) -> TaskOut {
+        let (consensus, stats, slots) =
+            window_consensus_engine_probed(&self.sub.windows[i], &self.params, self.engine, probe);
+        TaskOut {
+            checksum: consensus.as_codes().iter().fold(stats.cells, |acc, &c| {
+                acc.wrapping_mul(5).wrapping_add(u64::from(c))
+            }),
+            work: stats.cells,
+            slots,
+        }
+    }
+
+    /// Slot efficiency of the row-sweep engine: vector slots are rows
+    /// padded to whole lanes, so the dead-slot fraction is the
+    /// read-length padding waste; retired lanes count alignments the
+    /// precision ladder sent back to the exact i32 engine.
+    fn gauges(&self, slots: &BatchReport) -> Vec<(String, f64)> {
+        slot_gauges(
+            self.engine,
+            "spoa.dead_slot_fraction",
+            "spoa.simd_retired_lanes",
+            slots,
+        )
+    }
+
     /// Builds Racon-like windows: a 200-base backbone and ONT-noise reads
     /// covering it, with depth varying per window (the imbalance source).
     /// The window set is identical for both engines; spoa vectorizes
@@ -122,72 +153,6 @@ impl KernelSpec for SpoaKernel {
     }
 }
 
-impl SpoaKernel {
-    /// Replays every window on this kernel's engine and folds the
-    /// per-alignment slot accounting (used by [`Kernel::export_gauges`]
-    /// and the experiment reports).
-    pub fn batch_report(&self) -> BatchReport {
-        let mut total = BatchReport::default();
-        for w in &self.sub.windows {
-            let (_, _, report) = window_consensus_engine(w, &self.params, self.engine);
-            total.merge(&report);
-        }
-        total
-    }
-}
-
-impl Kernel for SpoaKernel {
-    fn id(&self) -> KernelId {
-        KernelId::Spoa
-    }
-
-    fn num_tasks(&self) -> usize {
-        self.sub.windows.len()
-    }
-
-    // PANIC-FREE: the pool only calls `run_task` with `i < num_tasks()`,
-    // the documented `Kernel` contract.
-    fn run_task(&self, i: usize) -> u64 {
-        let (consensus, stats, _) =
-            window_consensus_engine(&self.sub.windows[i], &self.params, self.engine);
-        consensus.as_codes().iter().fold(stats.cells, |acc, &c| {
-            acc.wrapping_mul(5).wrapping_add(u64::from(c))
-        })
-    }
-
-    fn characterize_task(&self, i: usize, probe: &mut CacheProbe) {
-        let _ =
-            window_consensus_engine_probed(&self.sub.windows[i], &self.params, self.engine, probe);
-    }
-
-    fn task_work(&self, i: usize) -> u64 {
-        window_consensus_engine(&self.sub.windows[i], &self.params, self.engine)
-            .1
-            .cells
-    }
-
-    fn export_gauges(&self) -> Vec<(String, f64)> {
-        if self.engine != DpEngine::Simd {
-            return Vec::new();
-        }
-        // Slot efficiency of the row-sweep engine: vector slots are rows
-        // padded to whole lanes, so the dead-slot fraction is the
-        // read-length padding waste; retired lanes count alignments the
-        // precision ladder sent back to the exact i32 engine.
-        let report = self.batch_report();
-        vec![
-            (
-                "spoa.dead_slot_fraction".to_string(),
-                report.dead_slot_fraction(),
-            ),
-            (
-                "spoa.simd_retired_lanes".to_string(),
-                report.retired_lanes as f64,
-            ),
-        ]
-    }
-}
-
 impl std::fmt::Debug for SpoaKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpoaKernel")
@@ -211,7 +176,7 @@ mod tests {
     #[test]
     fn consensus_recovers_backbone_closely() {
         let k = SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
-        let (consensus, _, _) = window_consensus_engine(&k.sub.windows[0], &k.params, k.engine);
+        let (consensus, _) = gb_poa::consensus::window_consensus(&k.sub.windows[0], &k.params);
         let backbone = &k.sub.windows[0][0];
         let len_diff = (consensus.len() as i64 - backbone.len() as i64).abs();
         assert!(len_diff < 20, "consensus length diff {len_diff}");
@@ -229,19 +194,9 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_total_work() {
-        let scalar = SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
-        let simd = SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
-        assert_eq!(
-            crate::kernels::total_work(&scalar),
-            crate::kernels::total_work(&simd)
-        );
-    }
-
-    #[test]
     fn simd_gauges_report_slot_accounting() {
         let simd = SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Simd);
-        let gauges = simd.export_gauges();
+        let gauges = simd.gauges(&run_serial(&simd).slots);
         let get = |name: &str| {
             gauges
                 .iter()
@@ -254,9 +209,5 @@ mod tests {
         // Default params fit the i16 ladder and window scores stay far
         // below the watch, so nothing retires on this workload.
         assert_eq!(get("spoa.simd_retired_lanes"), 0.0);
-        // Scalar engine exports nothing.
-        assert!(SpoaKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar)
-            .export_gauges()
-            .is_empty());
     }
 }

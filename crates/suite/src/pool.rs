@@ -12,9 +12,26 @@ use gb_obs::pool::TaskCursor;
 use gb_obs::{LogHistogram, Recorder, TaskStats, WorkerStats};
 use std::time::{Duration, Instant};
 
+/// What the pool folds: every task's value is merged into its worker's
+/// running total, and the workers' totals into the run's. The merge must
+/// be associative and commutative — dynamic scheduling fixes neither the
+/// grouping nor the order.
+pub trait Fold: Default + Send {
+    /// Folds `other` into `self`.
+    fn merge(&mut self, other: Self);
+}
+
+/// A checksum: the wrapping sum.
+impl Fold for u64 {
+    fn merge(&mut self, other: u64) {
+        *self = self.wrapping_add(other);
+    }
+}
+
 /// Runs `work` over `0..num_tasks` on `threads` workers with dynamic
-/// scheduling, collecting each task's `u64` result (summed into the
-/// returned checksum) and the wall-clock elapsed time.
+/// scheduling, folding each task's result (a `u64` is wrapping-summed
+/// into a checksum) and returning the total with the wall-clock elapsed
+/// time.
 ///
 /// `work` must be safe to call concurrently for distinct task indices.
 ///
@@ -27,16 +44,17 @@ use std::time::{Duration, Instant};
 /// let (sum, _elapsed) = run_dynamic(100, 4, |i| i as u64);
 /// assert_eq!(sum, 4950);
 /// ```
-pub fn run_dynamic<F>(num_tasks: usize, threads: usize, work: F) -> (u64, Duration)
+pub fn run_dynamic<T, F>(num_tasks: usize, threads: usize, work: F) -> (T, Duration)
 where
-    F: Fn(usize) -> u64 + Sync,
+    T: Fold,
+    F: Fn(usize) -> T + Sync,
 {
     let threads = threads.max(1);
     let start = Instant::now();
     if threads == 1 {
-        let mut acc = 0u64;
+        let mut acc = T::default();
         for i in 0..num_tasks {
-            acc = acc.wrapping_add(work(i));
+            acc.merge(work(i));
         }
         return (acc, start.elapsed());
     }
@@ -50,26 +68,27 @@ where
                 let cursor = &cursor;
                 let work = &work;
                 scope.spawn(move || {
-                    let mut acc = 0u64;
+                    let mut acc = T::default();
                     while let Some(i) = cursor.claim() {
-                        acc = acc.wrapping_add(work(i));
+                        acc.merge(work(i));
                     }
                     acc
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .fold(0u64, u64::wrapping_add)
+        let mut total = T::default();
+        for h in handles {
+            total.merge(h.join().expect("worker panicked"));
+        }
+        total
     });
     (total, start.elapsed())
 }
 
 /// What each worker accumulates during an instrumented run; folded into
 /// [`TaskStats`] after the join.
-struct WorkerTally {
-    acc: u64,
+struct WorkerTally<T> {
+    acc: T,
     hist: LogHistogram,
     busy_ns: u64,
     tasks: u64,
@@ -80,18 +99,19 @@ struct WorkerTally {
 /// [`Recorder::enabled`], so with a [`gb_obs::NullRecorder`] the only
 /// overhead over [`run_dynamic`] is the two `Instant` reads per task
 /// that feed the latency histogram.
-fn instrumented_worker<R: Recorder + ?Sized, F>(
+fn instrumented_worker<R: Recorder + ?Sized, T, F>(
     cursor: &TaskCursor,
     work: &F,
     recorder: &R,
     span_name: &str,
     track: u32,
-) -> WorkerTally
+) -> WorkerTally<T>
 where
-    F: Fn(usize) -> u64 + Sync,
+    T: Fold,
+    F: Fn(usize) -> T + Sync,
 {
     let mut tally = WorkerTally {
-        acc: 0,
+        acc: T::default(),
         hist: LogHistogram::new(),
         busy_ns: 0,
         tasks: 0,
@@ -104,7 +124,7 @@ where
         let mspan = mem::enabled().then(mem::TaskSpan::enter);
         let span_ts = recorder.now_ns();
         let t = Instant::now();
-        tally.acc = tally.acc.wrapping_add(work(i));
+        tally.acc.merge(work(i));
         let dur_ns = t.elapsed().as_nanos() as u64;
         if let Some(s) = mspan {
             tally.mem.add(s.exit());
@@ -124,7 +144,7 @@ where
 /// `recorder` is enabled) every task emits a span named `span_name` on
 /// the worker's track.
 ///
-/// Returns the checksum, the wall-clock time, and the aggregated
+/// Returns the folded total, the wall-clock time, and the aggregated
 /// [`TaskStats`].
 ///
 /// # Examples
@@ -138,16 +158,17 @@ where
 /// assert_eq!(stats.count, 100);
 /// assert_eq!(stats.workers.iter().map(|w| w.tasks).sum::<u64>(), 100);
 /// ```
-pub fn run_dynamic_instrumented<R, F>(
+pub fn run_dynamic_instrumented<R, T, F>(
     num_tasks: usize,
     threads: usize,
     work: F,
     recorder: &R,
     span_name: &str,
-) -> (u64, Duration, TaskStats)
+) -> (T, Duration, TaskStats)
 where
     R: Recorder + ?Sized,
-    F: Fn(usize) -> u64 + Sync,
+    T: Fold,
+    F: Fn(usize) -> T + Sync,
 {
     let threads = threads.max(1);
     // Snapshot the calling thread's allocation level before any tasks
@@ -160,7 +181,7 @@ where
     };
     let start = Instant::now();
     let cursor = TaskCursor::new(num_tasks);
-    let tallies: Vec<WorkerTally> = if threads == 1 {
+    let tallies: Vec<WorkerTally<T>> = if threads == 1 {
         vec![instrumented_worker(&cursor, &work, recorder, span_name, 0)]
     } else {
         std::thread::scope(|scope| {
@@ -183,9 +204,11 @@ where
     let wall_ns = elapsed.as_nanos() as u64;
     let mut hist = LogHistogram::new();
     let mut workers = Vec::with_capacity(tallies.len());
-    let mut checksum = 0u64;
-    for (idx, t) in tallies.iter().enumerate() {
-        checksum = checksum.wrapping_add(t.acc);
+    let memory = mem::enabled()
+        .then(|| PoolMemStats::fold(caller_net, threads == 1, tallies.iter().map(|t| &t.mem)));
+    let mut total = T::default();
+    for (idx, t) in tallies.into_iter().enumerate() {
+        total.merge(t.acc);
         hist.merge(&t.hist);
         workers.push(WorkerStats {
             worker: idx,
@@ -198,9 +221,8 @@ where
         recorder.counter("tasks", hist.count());
     }
     let mut stats = TaskStats::from_parts(&hist, workers, wall_ns);
-    stats.memory = mem::enabled()
-        .then(|| PoolMemStats::fold(caller_net, threads == 1, tallies.iter().map(|t| &t.mem)));
-    (checksum, elapsed, stats)
+    stats.memory = memory;
+    (total, elapsed, stats)
 }
 
 /// Times a closure, returning `(result, elapsed)`.

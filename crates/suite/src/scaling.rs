@@ -47,14 +47,15 @@ pub fn measure_task_times(kernel: &dyn Kernel, max_tasks: usize) -> Vec<f64> {
     let n = kernel.num_tasks();
     let sample = n.min(max_tasks.max(1));
     let mut times = Vec::with_capacity(n);
+    let mut sampled_work = 0u64;
     for i in 0..sample {
         let start = Instant::now();
-        std::hint::black_box(kernel.run_task(i));
+        let out = std::hint::black_box(kernel.task_out(i));
         times.push(start.elapsed().as_secs_f64());
+        sampled_work += out.work;
     }
     if sample < n {
         // Extrapolate the remaining tasks from their relative work.
-        let sampled_work: u64 = (0..sample).map(|i| kernel.task_work(i)).sum();
         let per_work = if sampled_work == 0 {
             0.0
         } else {

@@ -15,23 +15,15 @@
 use gb_suite::kernels::{prepare_dp, run_serial, total_work, DpEngine, Kernel, KernelId};
 use gb_suite::DatasetSize;
 
+mod common;
+
 /// One `kernel engine key=value` line per pinned fact.
 const GOLDEN: &str = include_str!("golden/task_out.txt");
 
-/// The kernel's gauges, by whichever route the tree under test offers.
+/// The kernel's gauges: formatted from the slot accounting its own run
+/// folded.
 fn gauges(kernel: &dyn Kernel) -> Vec<(String, f64)> {
-    kernel.export_gauges()
-}
-
-/// See `gb_suite`'s `test_support::rand_is_offline_stub`: the stand-in
-/// `StdRng` is SplitMix64, which the ChaCha-based one cannot reproduce.
-fn rand_is_offline_stub() -> bool {
-    use rand::{rngs::StdRng, RngCore, SeedableRng};
-    let mut z = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(2);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    StdRng::seed_from_u64(0).next_u64() == z
+    kernel.gauges(&run_serial(kernel).slots)
 }
 
 fn actual() -> String {
@@ -58,7 +50,7 @@ fn actual() -> String {
 #[test]
 fn task_outputs_are_pinned() {
     let actual = actual();
-    if rand_is_offline_stub() {
+    if common::rand_is_offline_stub() {
         assert_eq!(actual, GOLDEN, "\n{actual}");
     } else {
         let keys = |s: &str| -> Vec<String> {

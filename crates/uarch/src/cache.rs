@@ -463,14 +463,6 @@ impl CacheProbe {
         }
     }
 
-    /// Creates a probe over a custom hierarchy.
-    pub fn with_hierarchy(hierarchy: Hierarchy) -> CacheProbe {
-        CacheProbe {
-            hierarchy,
-            mix: MixProbe::new(),
-        }
-    }
-
     /// Cache statistics so far.
     pub fn cache_stats(&self) -> CacheStats {
         self.hierarchy.stats()

@@ -82,6 +82,45 @@ pub struct NullProbe;
 
 impl Probe for NullProbe {}
 
+/// A borrowed probe is a probe, so a caller's probe can sit in a [`Tee`]
+/// for part of a run.
+impl<P: Probe + ?Sized> Probe for &mut P {
+    #[inline(always)]
+    fn load(&mut self, addr: u64, bytes: u32) {
+        (**self).load(addr, bytes);
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: u64, bytes: u32) {
+        (**self).store(addr, bytes);
+    }
+
+    #[inline(always)]
+    fn int_ops(&mut self, n: u64) {
+        (**self).int_ops(n);
+    }
+
+    #[inline(always)]
+    fn fp_ops(&mut self, n: u64) {
+        (**self).fp_ops(n);
+    }
+
+    #[inline(always)]
+    fn simd_ops(&mut self, n: u64) {
+        (**self).simd_ops(n);
+    }
+
+    #[inline(always)]
+    fn branch(&mut self, taken: bool) {
+        (**self).branch(taken);
+    }
+
+    #[inline(always)]
+    fn other_ops(&mut self, n: u64) {
+        (**self).other_ops(n);
+    }
+}
+
 /// Returns the virtual address of a referenced value, for feeding
 /// [`Probe::load`]/[`Probe::store`].
 ///
@@ -176,6 +215,16 @@ mod tests {
         t.load(0x20, 4);
         assert_eq!(t.0 .0, 2);
         assert_eq!(t.1 .0, 2);
+    }
+
+    #[test]
+    fn tee_fans_out_to_a_borrowed_probe() {
+        let mut callers = CountLoads::default();
+        let mut t = Tee(CountLoads::default(), &mut callers);
+        t.load(0x10, 4);
+        t.int_ops(3);
+        assert_eq!(t.0 .0, 1);
+        assert_eq!(callers.0, 1);
     }
 
     #[test]

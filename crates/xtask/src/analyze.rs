@@ -3,10 +3,11 @@
 //! Where `cargo xtask lint` checks tokens line-by-line, the analyzer
 //! reasons about *reachability* over the workspace call graph
 //! ([`crate::callgraph`]) built from the parsed function items
-//! ([`crate::parse`]). Three rules gate CI; one report is informational:
+//! ([`crate::parse`]). Three rules run together and a fourth on request;
+//! all four gate CI:
 //!
 //! * **panic-freedom** — every function reachable from a kernel entry
-//!   point (`run_task` / `instantiate` in `crates/suite/src/kernels/`)
+//!   point (`task` / `instantiate` in `crates/suite/src/kernels/`)
 //!   that contains a potential panic site (`.unwrap()`, `.expect()`,
 //!   panicking macros, slice indexing) must carry a function-level
 //!   `PANIC-FREE:` justification comment. The bar is deliberately the
@@ -26,10 +27,11 @@
 //!   bit-identity contract the differential tests enforce. Sites known
 //!   to be benign carry a `FLOAT-DET:` comment on the line or within
 //!   two lines above.
-//! * **dead-pub** (report, never gates) — `pub fn`s with no
-//!   in-workspace callers, including harness callers. Functions used
-//!   only as bare paths (function pointers) are listed too: the parser
-//!   only sees `name(..)` call syntax — a documented limit.
+//! * **dead-pub** (`analyze --dead-pub`) — `pub fn`s with no
+//!   in-workspace callers, including harness callers, outside
+//!   [`DEAD_PUB_EXEMPT`]. A function used only as a bare path (function
+//!   pointer) would be flagged too: the parser only sees `name(..)` call
+//!   syntax — a documented limit.
 
 use crate::callgraph::{self, CallGraph};
 use crate::lints::Violation;
@@ -109,13 +111,13 @@ fn site_list(sites: &[(usize, &str)]) -> String {
 
 // --- panic-freedom -----------------------------------------------------
 
-/// Kernel entry points: `run_task` / `instantiate` in the suite's
-/// kernel modules (the DP-engine entries are reached through them).
+/// Kernel entry points: `task` / `instantiate` in the suite's kernel
+/// modules (the DP-engine entries are reached through them).
 fn kernel_roots(cg: &CallGraph<'_>) -> Vec<usize> {
     cg.find(|f| {
         !f.harness
             && f.file.starts_with("crates/suite/src/kernels/")
-            && (f.name == "run_task" || f.name == "instantiate")
+            && (f.name == "task" || f.name == "instantiate")
     })
 }
 
@@ -389,10 +391,15 @@ pub fn float_determinism(
     out
 }
 
-// --- dead-pub (informational) -----------------------------------------
+// --- dead-pub ----------------------------------------------------------
 
-/// Report of `pub fn`s with no in-workspace callers. Never gates.
-pub fn dead_pub_report(ws: &Workspace) -> String {
+/// Where an uncalled `pub fn` is expected: the stand-ins for crates.io
+/// dependencies and `gb-loom`'s shims mirror a foreign API, not this
+/// workspace's needs.
+pub const DEAD_PUB_EXEMPT: &[&str] = &["crates/perf/offline/", "crates/loom/src/"];
+
+/// Rule: a `pub fn` has an in-workspace caller.
+pub fn dead_pub(ws: &Workspace) -> Vec<Violation> {
     let fns = parse_workspace(ws);
     let called: HashSet<&str> = fns
         .iter()
@@ -406,20 +413,21 @@ pub fn dead_pub_report(ws: &Workspace) -> String {
                 && f.name != "main"
                 && !f.name.starts_with('_')
                 && !called.contains(f.name.as_str())
+                && !DEAD_PUB_EXEMPT.iter().any(|p| f.file.starts_with(p))
         })
         .collect();
     dead.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    let mut out = String::new();
-    out.push_str(&format!(
-        "dead-pub report: {} pub function(s) with no in-workspace callers\n\
-         (informational — includes functions used only as bare paths or \
-         exported for downstream users)\n",
-        dead.len()
-    ));
-    for f in dead {
-        out.push_str(&format!("  {}:{}: pub fn {}\n", f.file, f.line, f.name));
-    }
-    out
+    dead.into_iter()
+        .map(|f| Violation {
+            rule: "dead-pub",
+            file: f.file.clone(),
+            line: f.line,
+            msg: format!(
+                "`pub fn {}` has no in-workspace caller: delete it or make it private",
+                f.name
+            ),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -450,7 +458,7 @@ mod tests {
 
     // --- rule 1: panic-freedom ----------------------------------------
 
-    const KERNEL_ENTRY: &str = "pub fn run_task(i: usize) { gb_dp::danger(i); }\n";
+    const KERNEL_ENTRY: &str = "pub fn task(i: usize) { gb_dp::danger(i); }\n";
 
     #[test]
     fn panic_site_reachable_from_kernel_entry_is_flagged() {
@@ -487,7 +495,7 @@ mod tests {
     fn unreachable_panics_and_harness_panics_are_ignored() {
         let w = ws(&[
             ENGINE_STUBS,
-            ("crates/suite/src/kernels/k.rs", "pub fn run_task() {}\n"),
+            ("crates/suite/src/kernels/k.rs", "pub fn task() {}\n"),
             (
                 "crates/dp/src/x.rs",
                 "pub fn never_called() { panic!(\"fine: unreachable from kernels\"); }\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::never_called(); [0][1]; }\n}\n",
@@ -594,19 +602,21 @@ mod tests {
     // --- dead-pub ------------------------------------------------------
 
     #[test]
-    fn dead_pub_lists_uncalled_pub_fns_only() {
+    fn dead_pub_flags_uncalled_pub_fns_only() {
         let w = ws(&[
             (
                 "crates/a/src/lib.rs",
                 "pub fn used() {}\npub fn unused() {}\nfn private_unused() {}\n",
             ),
             ("crates/a/tests/t.rs", "#[test]\nfn t() { a::used(); }\n"),
+            ("crates/loom/src/sync.rs", "pub fn mirrors_std() {}\n"),
+            ("crates/perf/offline/x/src/lib.rs", "pub fn stand_in() {}\n"),
         ]);
-        let report = dead_pub_report(&w);
-        assert!(report.contains("pub fn unused"), "{report}");
-        assert!(!report.contains("pub fn used\n"), "{report}");
-        assert!(!report.contains("private_unused"), "{report}");
-        assert!(report.contains("1 pub function(s)"), "{report}");
+        let v = dead_pub(&w);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), ("dead-pub", 2));
+        assert_eq!(v[0].file, "crates/a/src/lib.rs");
+        assert!(v[0].msg.contains("`pub fn unused`"), "{v:?}");
     }
 
     // --- the live workspace -------------------------------------------
@@ -614,10 +624,11 @@ mod tests {
     #[test]
     fn the_real_workspace_is_analyze_clean() {
         let w = Workspace::load(&crate::workspace::repo_root());
-        let v = run_all(&w);
+        let mut v = run_all(&w);
+        v.extend(dead_pub(&w));
         assert!(
             v.is_empty(),
-            "cargo xtask analyze must pass on the live workspace:\n{}",
+            "cargo xtask analyze [--dead-pub] must pass on the live workspace:\n{}",
             v.iter()
                 .map(|x| x.to_string())
                 .collect::<Vec<_>>()
@@ -639,7 +650,7 @@ mod tests {
             .count();
         assert!(hot >= 12, "expected seeded `xtask: hot` roots, found {hot}");
         assert!(
-            pf >= 84,
+            pf >= 86,
             "expected `PANIC-FREE:` justifications, found {pf}"
         );
     }

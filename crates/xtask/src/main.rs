@@ -11,8 +11,8 @@
 //! * `analyze` — run the call-graph reachability rules (panic-freedom
 //!   of kernel entry paths, allocation-freedom of `xtask: hot` loops,
 //!   scalar/SIMD float-determinism). `analyze --dead-pub` instead
-//!   prints the informational unused-`pub fn` report and always exits
-//!   zero. See `src/analyze.rs` and DESIGN.md ("Static analysis").
+//!   runs the unused-`pub fn` rule. See `src/analyze.rs` and DESIGN.md
+//!   ("Static analysis").
 //! * `check` — `lint` + `analyze` over a single workspace load.
 //!
 //! Wired up as a cargo alias in `.cargo/config.toml`, so the entry
@@ -40,7 +40,8 @@ fn main() {
         Some("analyze") => {
             let ws = Workspace::load(&repo_root());
             if args.any(|a| a == "--dead-pub") {
-                print!("{}", analyze::dead_pub_report(&ws));
+                exit_on(analyze::dead_pub(&ws), "analyze --dead-pub");
+                println!("xtask analyze --dead-pub: OK (every pub fn has an in-workspace caller)");
                 return;
             }
             exit_on(run_analyze(&ws), "analyze");
@@ -58,7 +59,7 @@ fn main() {
                 "usage: cargo xtask <command>\n\ncommands:\n  \
                  lint                 run repo policy checks\n  \
                  analyze              run call-graph reachability checks\n  \
-                 analyze --dead-pub   report pub fns with no in-workspace callers\n  \
+                 analyze --dead-pub   refuse pub fns with no in-workspace callers\n  \
                  check                lint + analyze over one workspace load"
             );
             if other.is_some() {

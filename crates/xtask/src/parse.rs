@@ -33,7 +33,7 @@
 //! Functions inside `#[cfg(test)] mod … { … }` regions, and every file
 //! under `tests/`, `benches/` or `examples/`, are parsed but flagged as
 //! *harness* code: the analyze rules never root there, but their calls
-//! still count as uses for the `--dead-pub` report.
+//! still count as uses for the `--dead-pub` rule.
 
 use crate::lexer::word_on_line;
 use crate::workspace::{SourceFile, Workspace};
