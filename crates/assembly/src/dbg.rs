@@ -324,6 +324,7 @@ mod tests {
     use gb_core::quality::Phred;
     use gb_core::record::{AlignmentRecord, ReadRecord, Strand};
     use gb_core::region::Region;
+    use gb_core::rng::Rng;
 
     fn mkread(seq: DnaSeq, pos: usize) -> AlignmentRecord {
         let mut cigar = Cigar::new();
@@ -341,15 +342,8 @@ mod tests {
     }
 
     fn random_ref(len: usize, seed: u64) -> DnaSeq {
-        let mut x = seed;
-        DnaSeq::from_codes_unchecked(
-            (0..len)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    ((x >> 33) % 4) as u8
-                })
-                .collect(),
-        )
+        let mut rng = Rng::seed_from_u64(seed);
+        (0..len).map(|_| rng.gen_range(0..4u8)).collect()
     }
 
     #[test]

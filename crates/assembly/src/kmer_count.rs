@@ -166,22 +166,14 @@ pub fn count_histogram(table: &KmerTable, max_count: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_core::rng::Rng;
     use gb_core::seq::canonical_kmer;
     use std::collections::BTreeMap;
 
     fn reads(seed: u64, n: usize, len: usize) -> Vec<DnaSeq> {
-        let mut x = seed;
+        let mut rng = Rng::seed_from_u64(seed);
         (0..n)
-            .map(|_| {
-                DnaSeq::from_codes_unchecked(
-                    (0..len)
-                        .map(|_| {
-                            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            ((x >> 33) % 4) as u8
-                        })
-                        .collect(),
-                )
-            })
+            .map(|_| (0..len).map(|_| rng.gen_range(0..4u8)).collect())
             .collect()
     }
 

@@ -379,6 +379,7 @@ impl KmerTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_core::rng::Rng;
 
     fn filled(probing: Probing, n: u64) -> KmerTable {
         let mut t = KmerTable::with_capacity(16, probing);
@@ -415,14 +416,13 @@ mod tests {
     #[test]
     fn matches_btreemap_reference() {
         use std::collections::BTreeMap;
-        let mut x = 7u64;
+        let mut rng = Rng::seed_from_u64(7);
         for probing in [Probing::Linear, Probing::RobinHood] {
             let mut t = KmerTable::with_capacity(8, probing);
             let mut m: BTreeMap<u64, u32> = BTreeMap::new();
             for _ in 0..20_000 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let key = (x >> 40) % 3000; // heavy collisions
-                let delta = (x % 5) as u32 + 1;
+                let key = rng.gen_range(0..3000u64); // heavy collisions
+                let delta = rng.gen_range(1..=5u32);
                 t.insert_or_add(key, delta);
                 *m.entry(key).or_insert(0) += delta;
             }
@@ -541,13 +541,8 @@ mod tests {
     #[test]
     fn add_batch_on_a_table_built_too_small_grows_and_stays_correct() {
         use std::collections::BTreeMap;
-        let mut x = 11u64;
-        let keys: Vec<u64> = (0..20_000)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (x >> 40) % 6000
-            })
-            .collect();
+        let mut rng = Rng::seed_from_u64(11);
+        let keys: Vec<u64> = (0..20_000).map(|_| rng.gen_range(0..6000u64)).collect();
         let mut want: BTreeMap<u64, u32> = BTreeMap::new();
         for &k in &keys {
             *want.entry(k).or_insert(0) += 1;

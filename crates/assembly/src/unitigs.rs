@@ -187,17 +187,11 @@ fn unitigs_of(table: &KmerTable, params: &UnitigParams) -> Assembly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_core::rng::Rng;
 
     fn random_seq(n: usize, seed: u64) -> DnaSeq {
-        let mut x = seed;
-        DnaSeq::from_codes_unchecked(
-            (0..n)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    ((x >> 33) % 4) as u8
-                })
-                .collect(),
-        )
+        let mut rng = Rng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen_range(0..4u8)).collect()
     }
 
     fn shred(genome: &DnaSeq, read_len: usize, step: usize) -> Vec<DnaSeq> {

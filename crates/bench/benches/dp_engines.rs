@@ -14,6 +14,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gb_core::quality::Phred;
 use gb_core::record::ReadRecord;
+use gb_core::rng::Rng;
 use gb_core::seq::DnaSeq;
 use gb_datagen::signal::{simulate_signal, Event, PoreModel, SignalSimConfig};
 use gb_dp::abea::{align_events_engine, AbeaParams};
@@ -25,55 +26,47 @@ use gb_dp::DpEngine;
 use gb_poa::align::PoaParams;
 use gb_poa::consensus::window_consensus_engine;
 
-struct Lcg(u64);
+/// `len` uniform bases.
+fn bases(rng: &mut Rng, len: usize) -> DnaSeq {
+    (0..len).map(|_| rng.gen_range(0..4u8)).collect()
+}
 
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1);
-        self.0
-    }
+/// `seq` with each base substituted with probability `rate`.
+fn noisy(rng: &mut Rng, seq: &DnaSeq, rate: f64) -> DnaSeq {
+    let mutate = |&c| (c + u8::from(rng.gen::<f64>() < rate)) % 4;
+    seq.as_codes().iter().map(mutate).collect()
 }
 
 /// Small-tier-shaped bsw batch: 85% noisy copies, lengths 60..=400.
 fn bsw_tasks(n: usize, seed: u64) -> Vec<SwTask> {
-    let mut rng = Lcg(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
-            let qlen = 60 + (rng.next() % 341) as usize;
-            let q: Vec<u8> = (0..qlen).map(|_| ((rng.next() >> 33) % 4) as u8).collect();
-            let t: Vec<u8> = if rng.next() % 100 < 85 {
-                q.iter()
-                    .map(|&c| if rng.next() % 100 < 3 { (c + 1) % 4 } else { c })
-                    .collect()
+            let qlen = rng.gen_range(60..=400usize);
+            let query = bases(&mut rng, qlen);
+            let target = if rng.gen::<f64>() < 0.85 {
+                noisy(&mut rng, &query, 0.03)
             } else {
-                let tlen = 60 + (rng.next() % 341) as usize;
-                (0..tlen).map(|_| ((rng.next() >> 33) % 4) as u8).collect()
+                let tlen = rng.gen_range(60..=400usize);
+                bases(&mut rng, tlen)
             };
-            SwTask {
-                query: DnaSeq::from_codes_unchecked(q),
-                target: DnaSeq::from_codes_unchecked(t),
-            }
+            SwTask { query, target }
         })
         .collect()
 }
 
 /// Read/haplotype pairs shaped like the phmm kernel's region tasks.
 fn phmm_pairs(n: usize, seed: u64) -> Vec<(ReadRecord, DnaSeq)> {
-    let mut rng = Lcg(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
-            let hlen = 200 + (rng.next() % 200) as usize;
-            let h: Vec<u8> = (0..hlen).map(|_| ((rng.next() >> 33) % 4) as u8).collect();
-            let hap = DnaSeq::from_codes_unchecked(h);
-            let rlen = 80 + (rng.next() % 70) as usize;
-            let start = (rng.next() as usize) % (hlen - rlen);
-            let read_codes: Vec<u8> = hap.as_codes()[start..start + rlen]
-                .iter()
-                .map(|&c| if rng.next() % 100 < 2 { (c + 1) % 4 } else { c })
-                .collect();
+            let hlen = rng.gen_range(200..400usize);
+            let hap = bases(&mut rng, hlen);
+            let rlen = rng.gen_range(80..150usize);
+            let start = rng.gen_range(0..hlen - rlen);
             let read = ReadRecord::with_uniform_quality(
                 format!("r{i}"),
-                DnaSeq::from_codes_unchecked(read_codes),
+                noisy(&mut rng, &hap.slice(start, start + rlen), 0.02),
                 Phred::new(30),
             );
             (read, hap)
@@ -83,18 +76,14 @@ fn phmm_pairs(n: usize, seed: u64) -> Vec<(ReadRecord, DnaSeq)> {
 
 /// Racon-window-shaped spoa inputs: a backbone plus noisy copies.
 fn spoa_windows(n: usize, depth: usize, seed: u64) -> Vec<Vec<DnaSeq>> {
-    let mut rng = Lcg(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
-            let len = 150 + (rng.next() % 100) as usize;
-            let backbone: Vec<u8> = (0..len).map(|_| ((rng.next() >> 33) % 4) as u8).collect();
-            let mut reads = vec![DnaSeq::from_codes_unchecked(backbone.clone())];
+            let len = rng.gen_range(150..250usize);
+            let backbone = bases(&mut rng, len);
+            let mut reads = vec![backbone.clone()];
             for _ in 0..depth {
-                let read: Vec<u8> = backbone
-                    .iter()
-                    .map(|&c| if rng.next() % 100 < 6 { (c + 1) % 4 } else { c })
-                    .collect();
-                reads.push(DnaSeq::from_codes_unchecked(read));
+                reads.push(noisy(&mut rng, &backbone, 0.06));
             }
             reads
         })
@@ -103,15 +92,14 @@ fn spoa_windows(n: usize, depth: usize, seed: u64) -> Vec<Vec<DnaSeq>> {
 
 /// Event streams + references shaped like the abea kernel's reads.
 fn abea_reads(n: usize, seed: u64) -> Vec<(Vec<Event>, DnaSeq)> {
-    let mut rng = Lcg(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let model = PoreModel::r9_like();
     let cfg = SignalSimConfig::default();
     (0..n)
         .map(|_| {
-            let len = 300 + (rng.next() % 300) as usize;
-            let r: Vec<u8> = (0..len).map(|_| ((rng.next() >> 33) % 4) as u8).collect();
-            let reference = DnaSeq::from_codes_unchecked(r);
-            let events = simulate_signal(&reference, &model, &cfg, rng.next()).events;
+            let len = rng.gen_range(300..600usize);
+            let reference = bases(&mut rng, len);
+            let events = simulate_signal(&reference, &model, &cfg, rng.gen()).events;
             (events, reference)
         })
         .collect()

@@ -12,6 +12,7 @@
 //! - [`cigar`] / [`record`]: alignments (the SAM/BAM analogue),
 //! - [`io`]: FASTA/FASTQ text I/O,
 //! - [`region`]: genome-region tasks (the unit of task parallelism),
+//! - [`rng`]: the seeded generator every synthetic dataset is drawn from,
 //! - [`matrix`]: a small dense matrix for the GRM and NN kernels,
 //! - [`error`]: the suite-wide error type.
 //!
@@ -37,6 +38,7 @@ pub mod packed;
 pub mod quality;
 pub mod record;
 pub mod region;
+pub mod rng;
 pub mod seq;
 
 pub use alphabet::Base;

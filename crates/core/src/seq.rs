@@ -398,6 +398,7 @@ impl gb_substrate::Codec for DnaSeq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
 
     #[test]
     fn parse_and_display() {
@@ -483,12 +484,6 @@ mod tests {
         assert_eq!(revcomp_kmer(packed, s.len()), pack_kmer(rc.as_codes()));
     }
 
-    /// LCG-drawn words and codes for the tests below.
-    fn lcg(x: &mut u64) -> u64 {
-        *x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-        *x ^ (*x >> 29)
-    }
-
     #[test]
     fn revcomp_kmer_matches_the_per_base_loop() {
         fn by_loop(kmer: u64, k: usize) -> u64 {
@@ -500,11 +495,11 @@ mod tests {
             }
             out
         }
-        let mut x = 17u64;
+        let mut rng = Rng::seed_from_u64(17);
         for k in 1..=32usize {
             for _ in 0..200 {
                 // Bits above 2k are garbage on purpose: both ignore them.
-                let word = lcg(&mut x);
+                let word = rng.next_u64();
                 assert_eq!(
                     revcomp_kmer(word, k),
                     by_loop(word, k),
@@ -519,11 +514,11 @@ mod tests {
 
     #[test]
     fn canonical_kmers_equal_kmers_mapped_through_canonical_kmer() {
-        let mut x = 5u64;
+        let mut rng = Rng::seed_from_u64(5);
         for k in [1usize, 2, 15, 17, 31, 32] {
             // Shorter than k, exactly k, and long enough to roll many times.
             for len in [0, k - 1, k, k + 1, 3 * k + 7, 300] {
-                let s: DnaSeq = (0..len).map(|_| (lcg(&mut x) % 4) as u8).collect();
+                let s: DnaSeq = (0..len).map(|_| rng.gen_range(0..4u8)).collect();
                 let want: Vec<(usize, u64)> = s
                     .kmers(k)
                     .map(|(i, km)| (i, canonical_kmer(km, k)))

@@ -6,9 +6,8 @@
 //! two simulated long reads, exactly how minimap2 finds anchors) and a
 //! fast synthetic generator for large parameter sweeps.
 
+use gb_core::rng::Rng;
 use gb_core::seq::DnaSeq;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One seed match between a target and a query sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -155,7 +154,7 @@ impl Default for AnchorSimConfig {
 /// random diagonal (a true overlap) plus off-diagonal noise, with
 /// long-tailed per-task anchor counts (the Fig. 4 imbalance source).
 pub fn synthetic_anchor_sets(config: &AnchorSimConfig, seed: u64) -> Vec<AnchorSet> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     (0..config.num_pairs)
         .map(|_| {
             // Long-tailed task size: u^3 scaling gives a few big tasks.

@@ -6,9 +6,8 @@
 //! so that index structures (FM-index, k-mer tables, minimizers) see
 //! realistic multiplicity rather than pure random text.
 
+use gb_core::rng::Rng;
 use gb_core::seq::DnaSeq;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Parameters for [`Genome::generate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +63,7 @@ impl Genome {
             config.contigs > 0 && config.length > 0,
             "genome must be non-empty"
         );
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let per = config.length / config.contigs;
         let mut contigs = Vec::with_capacity(config.contigs);
         for ci in 0..config.contigs {
@@ -118,7 +117,7 @@ impl Genome {
 }
 
 /// Draws one base code with the configured GC bias.
-pub(crate) fn random_base(rng: &mut StdRng, gc: f64) -> u8 {
+pub(crate) fn random_base(rng: &mut Rng, gc: f64) -> u8 {
     let r: f64 = rng.gen();
     if r < gc {
         // C or G
@@ -134,7 +133,7 @@ pub(crate) fn random_base(rng: &mut StdRng, gc: f64) -> u8 {
     }
 }
 
-fn generate_contig(len: usize, config: &GenomeConfig, rng: &mut StdRng) -> DnaSeq {
+fn generate_contig(len: usize, config: &GenomeConfig, rng: &mut Rng) -> DnaSeq {
     let mut codes: Vec<u8> = (0..len)
         .map(|_| random_base(rng, config.gc_content))
         .collect();

@@ -6,8 +6,7 @@
 //! reproduced here: `p_s` follows a low-frequency-skewed spectrum and each
 //! genotype is a binomial(2, p_s) draw.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gb_core::rng::Rng;
 
 /// A genotype matrix: `individuals x markers` entries in `{0, 1, 2}`
 /// (copies of the non-reference allele), plus per-marker allele
@@ -43,7 +42,7 @@ impl GenotypeMatrix {
             individuals > 0 && markers > 0,
             "dimensions must be positive"
         );
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         // Allele-frequency spectrum skewed toward rare variants:
         // p = 0.01 + 0.49 * u^2 keeps p in [0.01, 0.5] with density
         // concentrated at low frequency, like real site-frequency spectra.

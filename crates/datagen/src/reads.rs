@@ -10,9 +10,8 @@ use crate::genome::Genome;
 use gb_core::cigar::{Cigar, CigarOp};
 use gb_core::quality::Phred;
 use gb_core::record::{AlignmentRecord, ReadRecord, Strand};
+use gb_core::rng::Rng;
 use gb_core::seq::DnaSeq;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Error profile of a simulated sequencing technology.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,7 +153,7 @@ impl SimulatedRead {
 /// assert!(reads.iter().all(|r| (145..=157).contains(&r.record.len())));
 /// ```
 pub fn simulate_reads(genome: &Genome, config: &ReadSimConfig, seed: u64) -> Vec<SimulatedRead> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(config.num_reads);
     for i in 0..config.num_reads {
         out.push(simulate_one(genome, config, i, &mut rng));
@@ -166,7 +165,7 @@ fn simulate_one(
     genome: &Genome,
     config: &ReadSimConfig,
     idx: usize,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> SimulatedRead {
     let jitter = config.length_jitter.clamp(0.0, 0.99);
     let min_len = ((config.read_len as f64) * (1.0 - jitter)).max(20.0) as usize;
@@ -300,7 +299,7 @@ pub fn simulate_pairs(
     insert_sd: usize,
     seed: u64,
 ) -> Vec<SimulatedPair> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let contig = genome.contig(0);
     let max_insert = insert_mean + 2 * insert_sd;
     assert!(
@@ -316,7 +315,7 @@ pub fn simulate_pairs(
         let start = rng.gen_range(0..contig.len() - insert_len);
         // Each mate is simulated over exactly its end of the insert, so
         // the simulator's forced start-0 pins it there.
-        let one = |src_start: usize, revcomp: bool, which: &str, rng: &mut StdRng| {
+        let one = |src_start: usize, revcomp: bool, which: &str, rng: &mut Rng| {
             let src = contig.slice(src_start, src_start + config.read_len);
             let sub_genome = Genome::from_contigs(vec![src]);
             let cfg = ReadSimConfig {

@@ -6,8 +6,7 @@ use crate::reads::{simulate_reads, ReadSimConfig, SimulatedRead};
 use crate::variants::{inject_variants, DiploidSample, VariantConfig};
 use gb_core::record::AlignmentRecord;
 use gb_core::region::{Region, RegionTask};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gb_core::rng::Rng;
 
 /// Configuration for [`build_region_tasks`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,7 +69,7 @@ pub struct RegionWorkload {
 /// assert!(w.tasks.iter().any(|t| !t.reads.is_empty()));
 /// ```
 pub fn build_region_tasks(genome: &Genome, config: &RegionSimConfig, seed: u64) -> RegionWorkload {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let reference = genome.contig(0);
     let sample = inject_variants(reference, &config.variants, rng.gen());
 

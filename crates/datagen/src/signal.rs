@@ -13,9 +13,8 @@
 //!    events, reproducing the up-to-2x event inflation the paper notes as
 //!    the reason abea needs adaptive banding.
 
+use gb_core::rng::{splitmix64, Rng};
 use gb_core::seq::DnaSeq;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Length of the k-mers the pore model is defined over.
 pub const PORE_K: usize = 6;
@@ -88,13 +87,6 @@ impl PoreModel {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
 /// One segmented event: a run of raw samples summarized by its mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
@@ -165,7 +157,7 @@ pub fn simulate_signal(
     config: &SignalSimConfig,
     seed: u64,
 ) -> SignalRead {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut raw = Vec::new();
     let mut events = Vec::new();
     for (_, kmer) in seq.kmers(PORE_K) {
@@ -207,7 +199,7 @@ pub fn simulate_signal(
 }
 
 /// Box–Muller standard normal draw.
-fn gaussian(rng: &mut StdRng) -> f32 {
+fn gaussian(rng: &mut Rng) -> f32 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen();
     ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32

@@ -5,9 +5,8 @@
 //! and short indels into a reference to create sample haplotypes, keeping
 //! the truth set so tests and the nn-variant labeller can check calls.
 
+use gb_core::rng::Rng;
 use gb_core::seq::DnaSeq;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// The kind of an injected variant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +104,7 @@ impl DiploidSample {
 /// assert!(!sample.truth.is_empty());
 /// ```
 pub fn inject_variants(reference: &DnaSeq, config: &VariantConfig, seed: u64) -> DiploidSample {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut truth = Vec::new();
     let mut pos = 0usize;
     let n = reference.len();

@@ -231,6 +231,7 @@ impl gb_substrate::Codec for SwTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_core::rng::Rng;
 
     fn seq(s: &str) -> DnaSeq {
         s.parse().unwrap()
@@ -280,15 +281,9 @@ mod tests {
     #[test]
     fn matches_reference_on_pseudorandom_pairs() {
         for pair_seed in 0..12u64 {
-            let mut x = pair_seed.wrapping_mul(0x9E3779B97F4A7C15) + 1;
-            let mut gen = |len: usize| -> Vec<u8> {
-                (0..len)
-                    .map(|_| {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        ((x >> 33) % 4) as u8
-                    })
-                    .collect()
-            };
+            let mut rng = Rng::seed_from_u64(pair_seed);
+            let mut gen =
+                |len: usize| -> Vec<u8> { (0..len).map(|_| rng.gen_range(0..4u8)).collect() };
             let q = gen(40 + (pair_seed as usize * 7) % 30);
             let t = gen(50 + (pair_seed as usize * 11) % 40);
             let got = full_sw(
@@ -308,14 +303,8 @@ mod tests {
     fn gap_alignment_uses_affine_costs() {
         // Query = a long non-repetitive target with a 3-base deletion:
         // bridging the gap (matches - open - 3*extend) beats either flank.
-        let mut x = 5u64;
-        let t_codes: Vec<u8> = (0..40)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((x >> 33) % 4) as u8
-            })
-            .collect();
-        let t = DnaSeq::from_codes_unchecked(t_codes);
+        let mut rng = Rng::seed_from_u64(5);
+        let t: DnaSeq = (0..40).map(|_| rng.gen_range(0..4u8)).collect();
         let mut q_codes = t.as_codes().to_vec();
         q_codes.drain(18..21);
         let q = DnaSeq::from_codes_unchecked(q_codes);

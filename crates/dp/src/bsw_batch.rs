@@ -248,26 +248,23 @@ pub fn run_lockstep_width(
 mod tests {
     use super::*;
     use crate::bsw::{banded_sw, run_batch};
+    use gb_core::rng::Rng;
     use gb_core::seq::DnaSeq;
 
     fn tasks(n: usize, seed: u64) -> Vec<SwTask> {
-        let mut x = seed;
-        let mut next = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            x
-        };
+        let mut rng = Rng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
-                let qlen = 20 + (next() % 150) as usize;
-                let q: Vec<u8> = (0..qlen).map(|_| ((next() >> 33) % 4) as u8).collect();
+                let qlen = rng.gen_range(20..170usize);
+                let q: Vec<u8> = (0..qlen).map(|_| rng.gen_range(0..4u8)).collect();
                 // Mix of noisy copies and unrelated targets.
-                let t: Vec<u8> = if next() % 10 < 8 {
+                let t: Vec<u8> = if rng.gen_range(0..10) < 8 {
                     q.iter()
-                        .map(|&c| if next() % 100 < 2 { (c + 1) % 4 } else { c })
+                        .map(|&c| (c + u8::from(rng.gen_range(0..100) < 2)) % 4)
                         .collect()
                 } else {
-                    let tlen = 20 + (next() % 150) as usize;
-                    (0..tlen).map(|_| ((next() >> 33) % 4) as u8).collect()
+                    let tlen = rng.gen_range(20..170usize);
+                    (0..tlen).map(|_| rng.gen_range(0..4u8)).collect()
                 };
                 SwTask {
                     query: DnaSeq::from_codes_unchecked(q),

@@ -224,6 +224,7 @@ pub fn rescore(query: &DnaSeq, target: &DnaSeq, a: &SwAlignment, params: &SwPara
 mod tests {
     use super::*;
     use crate::bsw::full_sw;
+    use gb_core::rng::Rng;
 
     fn params() -> SwParams {
         SwParams {
@@ -248,14 +249,8 @@ mod tests {
 
     #[test]
     fn deletion_recovered() {
-        let mut x = 3u64;
-        let t_codes: Vec<u8> = (0..40)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((x >> 33) % 4) as u8
-            })
-            .collect();
-        let t = DnaSeq::from_codes_unchecked(t_codes);
+        let mut rng = Rng::seed_from_u64(3);
+        let t: DnaSeq = (0..40).map(|_| rng.gen_range(0..4u8)).collect();
         let mut q_codes = t.as_codes().to_vec();
         q_codes.drain(18..21);
         let q = DnaSeq::from_codes_unchecked(q_codes);
@@ -266,14 +261,8 @@ mod tests {
 
     #[test]
     fn insertion_recovered() {
-        let mut x = 9u64;
-        let t_codes: Vec<u8> = (0..40)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((x >> 33) % 4) as u8
-            })
-            .collect();
-        let t = DnaSeq::from_codes_unchecked(t_codes);
+        let mut rng = Rng::seed_from_u64(9);
+        let t: DnaSeq = (0..40).map(|_| rng.gen_range(0..4u8)).collect();
         let mut q_codes = t.as_codes().to_vec();
         q_codes.insert(20, (q_codes[20] + 1) % 4);
         q_codes.insert(20, (q_codes[19] + 2) % 4);
@@ -285,20 +274,12 @@ mod tests {
 
     #[test]
     fn score_matches_scoring_only_kernel() {
-        let mut x = 17u64;
-        let mut next = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            x
-        };
+        let mut rng = Rng::seed_from_u64(17);
         for _case in 0..20 {
-            let qlen = 30 + (next() % 40) as usize;
-            let q = DnaSeq::from_codes_unchecked(
-                (0..qlen).map(|_| ((next() >> 33) % 4) as u8).collect(),
-            );
-            let tlen = 30 + (next() % 50) as usize;
-            let t = DnaSeq::from_codes_unchecked(
-                (0..tlen).map(|_| ((next() >> 33) % 4) as u8).collect(),
-            );
+            let qlen = rng.gen_range(30..70usize);
+            let q: DnaSeq = (0..qlen).map(|_| rng.gen_range(0..4u8)).collect();
+            let tlen = rng.gen_range(30..80usize);
+            let t: DnaSeq = (0..tlen).map(|_| rng.gen_range(0..4u8)).collect();
             let a = sw_align(&q, &t, &params());
             assert_eq!(a.result.score, full_sw(&q, &t, &params()).score);
             assert_eq!(

@@ -128,17 +128,11 @@ pub fn naive_inexact(text: &DnaSeq, pattern: &DnaSeq, max_mismatches: u32) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_core::rng::Rng;
 
     fn pseudo_text(n: usize, seed: u64) -> DnaSeq {
-        let mut x = seed;
-        DnaSeq::from_codes_unchecked(
-            (0..n)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    ((x >> 33) % 4) as u8
-                })
-                .collect(),
-        )
+        let mut rng = Rng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen_range(0..4u8)).collect()
     }
 
     #[test]

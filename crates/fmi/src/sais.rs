@@ -199,6 +199,7 @@ pub fn naive_suffix_array(text: &[u8]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_core::rng::Rng;
 
     fn check(text: &[u8]) {
         assert_eq!(
@@ -242,14 +243,9 @@ mod tests {
 
     #[test]
     fn pseudo_random_matches_naive() {
-        let mut x = 99u64;
+        let mut rng = Rng::seed_from_u64(99);
         for len in [10usize, 37, 100, 257, 1000] {
-            let text: Vec<u8> = (0..len)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    ((x >> 33) % 4) as u8
-                })
-                .collect();
+            let text: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4u8)).collect();
             check(&text);
         }
     }

@@ -11,10 +11,9 @@
 use crate::ctc::greedy_decode;
 use crate::layers::{softmax, Conv1d, SeparableBlock};
 use gb_core::matrix::Matrix;
+use gb_core::rng::Rng;
 use gb_core::seq::DnaSeq;
 use gb_uarch::probe::{NullProbe, Probe};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Model hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +69,7 @@ impl Basecaller {
     // PANIC-FREE: `bias[BLANK]` indexes a 5-class head built three lines
     // up; model shapes are config constants.
     pub fn new(config: &BasecallerConfig, seed: u64) -> Basecaller {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let stem = Conv1d::new(1, config.channels, config.kernel, config.stride, &mut rng);
         let stack = (0..config.blocks)
             .map(|_| SeparableBlock::new(config.channels, config.channels, config.kernel, &mut rng))

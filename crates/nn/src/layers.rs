@@ -7,12 +7,11 @@
 //! are `channels x time` matrices ([`Matrix`]).
 
 use gb_core::matrix::Matrix;
+use gb_core::rng::Rng;
 use gb_uarch::probe::{addr_of, NullProbe, Probe};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Xavier-uniform initialization for a `rows x cols` weight matrix.
-pub fn xavier(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+pub fn xavier(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
     let limit = (6.0 / (rows + cols) as f64).sqrt() as f32;
     let data = (0..rows * cols)
         .map(|_| rng.gen_range(-limit..limit))
@@ -66,13 +65,7 @@ impl Conv1d {
     /// Creates a randomly initialized convolution ("same" padding).
     // PANIC-FREE: odd-kernel assert is a config-time contract (kernel
     // widths come from `BasecallerConfig`, not data).
-    pub fn new(
-        in_ch: usize,
-        out_ch: usize,
-        kernel: usize,
-        stride: usize,
-        rng: &mut StdRng,
-    ) -> Conv1d {
+    pub fn new(in_ch: usize, out_ch: usize, kernel: usize, stride: usize, rng: &mut Rng) -> Conv1d {
         assert!(kernel % 2 == 1, "odd kernels only (same padding)");
         Conv1d {
             in_ch,
@@ -150,7 +143,7 @@ pub struct DepthwiseConv1d {
 impl DepthwiseConv1d {
     /// Creates a randomly initialized depthwise convolution.
     // PANIC-FREE: odd-kernel assert is a config-time contract.
-    pub fn new(channels: usize, kernel: usize, rng: &mut StdRng) -> DepthwiseConv1d {
+    pub fn new(channels: usize, kernel: usize, rng: &mut Rng) -> DepthwiseConv1d {
         assert!(kernel % 2 == 1, "odd kernels only (same padding)");
         DepthwiseConv1d {
             channels,
@@ -208,7 +201,7 @@ pub struct SeparableBlock {
 
 impl SeparableBlock {
     /// Creates a randomly initialized block.
-    pub fn new(in_ch: usize, out_ch: usize, kernel: usize, rng: &mut StdRng) -> SeparableBlock {
+    pub fn new(in_ch: usize, out_ch: usize, kernel: usize, rng: &mut Rng) -> SeparableBlock {
         SeparableBlock {
             depthwise: DepthwiseConv1d::new(in_ch, kernel, rng),
             pointwise: Conv1d::new(in_ch, out_ch, 1, 1, rng),
@@ -243,7 +236,7 @@ pub struct Dense {
 
 impl Dense {
     /// Creates a randomly initialized dense layer.
-    pub fn new(input: usize, output: usize, rng: &mut StdRng) -> Dense {
+    pub fn new(input: usize, output: usize, rng: &mut Rng) -> Dense {
         Dense {
             weights: xavier(output, input, rng),
             bias: (0..output).map(|_| rng.gen_range(-0.1..0.1)).collect(),
@@ -291,7 +284,7 @@ pub struct Lstm {
 
 impl Lstm {
     /// Creates a randomly initialized LSTM.
-    pub fn new(input: usize, hidden: usize, rng: &mut StdRng) -> Lstm {
+    pub fn new(input: usize, hidden: usize, rng: &mut Rng) -> Lstm {
         Lstm {
             input,
             hidden,
@@ -382,7 +375,7 @@ pub struct BiLstm {
 
 impl BiLstm {
     /// Creates a randomly initialized bi-LSTM.
-    pub fn new(input: usize, hidden: usize, rng: &mut StdRng) -> BiLstm {
+    pub fn new(input: usize, hidden: usize, rng: &mut Rng) -> BiLstm {
         BiLstm {
             fwd: Lstm::new(input, hidden, rng),
             bwd: Lstm::new(input, hidden, rng),
@@ -513,10 +506,9 @@ impl gb_substrate::Codec for BiLstm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
+    fn rng() -> Rng {
+        Rng::seed_from_u64(42)
     }
 
     #[test]

@@ -161,18 +161,12 @@ fn edit_distance(a: &[u8], b: &[u8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_core::rng::Rng;
     use gb_datagen::signal::{simulate_signal, SignalSimConfig};
 
     fn truth(n: usize, seed: u64) -> DnaSeq {
-        let mut x = seed;
-        DnaSeq::from_codes_unchecked(
-            (0..n)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    ((x >> 33) % 4) as u8
-                })
-                .collect(),
-        )
+        let mut rng = Rng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen_range(0..4u8)).collect()
     }
 
     #[test]

@@ -10,10 +10,9 @@
 
 use crate::layers::{softmax, BiLstm, Dense};
 use gb_core::matrix::Matrix;
+use gb_core::rng::Rng;
 use gb_pileup::feature::{ClairTensor, CHANNELS, ENCODINGS, WINDOW};
 use gb_uarch::probe::{NullProbe, Probe};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Features per window position (8 channels x 4 encodings = 32).
 pub const FEATURES: usize = CHANNELS * ENCODINGS;
@@ -124,7 +123,7 @@ pub struct VariantCaller {
 impl VariantCaller {
     /// Builds a model with seeded-random weights.
     pub fn new(config: &VariantCallerConfig, seed: u64) -> VariantCaller {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let h = config.lstm_hidden;
         let lstm1 = BiLstm::new(FEATURES, h, &mut rng);
         let lstm2 = BiLstm::new(2 * h, h, &mut rng);

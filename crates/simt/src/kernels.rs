@@ -377,21 +377,15 @@ pub fn bonito_like_layers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_core::rng::Rng;
     use gb_datagen::signal::{simulate_signal, PoreModel, SignalSimConfig};
 
     fn abea_reads(n: usize) -> Vec<(Vec<Event>, DnaSeq)> {
         let model = PoreModel::r9_like();
-        let mut x = 41u64;
+        let mut rng = Rng::seed_from_u64(41);
         (0..n)
             .map(|i| {
-                let seq = DnaSeq::from_codes_unchecked(
-                    (0..300)
-                        .map(|_| {
-                            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            ((x >> 33) % 4) as u8
-                        })
-                        .collect(),
-                );
+                let seq: DnaSeq = (0..300).map(|_| rng.gen_range(0..4u8)).collect();
                 let sig = simulate_signal(&seq, &model, &SignalSimConfig::default(), i as u64);
                 (sig.events, seq)
             })

@@ -175,49 +175,51 @@ enum Opt {
     FlameSvg,
     SubstrateCache,
     NoCache,
+    BaselineDir,
+    DiffSvg,
+    Tolerance,
+    MinWallMs,
+    WriteGithubSummary,
 }
 
 impl Opt {
-    const ALL: [Opt; 14] = [
-        Opt::Tier,
-        Opt::Threads,
-        Opt::DpEngine,
-        Opt::Json,
-        Opt::Trace,
-        Opt::Metrics,
-        Opt::ManifestOut,
-        Opt::Baseline,
-        Opt::Uarch,
-        Opt::UarchBudget,
-        Opt::Flame,
-        Opt::FlameSvg,
-        Opt::SubstrateCache,
-        Opt::NoCache,
+    /// Every option with its flag.
+    const ALL: [(Opt, &'static str); 19] = [
+        (Opt::Tier, "--tier"),
+        (Opt::Threads, "--threads"),
+        (Opt::DpEngine, "--dp-engine"),
+        (Opt::Json, "--json"),
+        (Opt::Trace, "--trace"),
+        (Opt::Metrics, "--metrics"),
+        (Opt::ManifestOut, "--manifest-out"),
+        (Opt::Baseline, "--baseline"),
+        (Opt::Uarch, "--uarch"),
+        (Opt::UarchBudget, "--uarch-budget"),
+        (Opt::Flame, "--flame"),
+        (Opt::FlameSvg, "--flame-svg"),
+        (Opt::SubstrateCache, "--substrate-cache"),
+        (Opt::NoCache, "--no-cache"),
+        (Opt::BaselineDir, "--baseline-dir"),
+        (Opt::DiffSvg, "--diff-svg"),
+        (Opt::Tolerance, "--tolerance"),
+        (Opt::MinWallMs, "--min-wall-ms"),
+        (Opt::WriteGithubSummary, "--write-github-summary"),
     ];
 
     fn flag(self) -> &'static str {
-        match self {
-            Opt::Tier => "--tier",
-            Opt::Threads => "--threads",
-            Opt::DpEngine => "--dp-engine",
-            Opt::Json => "--json",
-            Opt::Trace => "--trace",
-            Opt::Metrics => "--metrics",
-            Opt::ManifestOut => "--manifest-out",
-            Opt::Baseline => "--baseline",
-            Opt::Uarch => "--uarch",
-            Opt::UarchBudget => "--uarch-budget",
-            Opt::Flame => "--flame",
-            Opt::FlameSvg => "--flame-svg",
-            Opt::SubstrateCache => "--substrate-cache",
-            Opt::NoCache => "--no-cache",
-        }
+        let entry = Opt::ALL.iter().find(|(opt, _)| *opt == self);
+        entry.expect("ALL lists every option").1
     }
 
-    /// Whether the flag takes a value (`--uarch` and `--no-cache` are
-    /// bare switches).
-    fn takes_value(self) -> bool {
-        !matches!(self, Opt::Uarch | Opt::NoCache)
+    /// Whether the flag takes a value under `cmd`: `--uarch`, `--no-cache`
+    /// and `--write-github-summary` are bare switches, and so is the
+    /// `--json` of `compare` and `trend` (JSON to stdout).
+    fn takes_value(self, cmd: &str) -> bool {
+        match self {
+            Opt::Uarch | Opt::NoCache | Opt::WriteGithubSummary => false,
+            Opt::Json => !matches!(cmd, "compare" | "trend"),
+            _ => true,
+        }
     }
 }
 
@@ -237,6 +239,12 @@ struct Options {
     flame_svg: Option<String>,
     substrate_cache: Option<String>,
     no_cache: bool,
+    json_stdout: bool,
+    baseline_dir: Option<String>,
+    diff_svg: Option<String>,
+    /// The gate thresholds of `compare` and `trend`.
+    compare: CompareConfig,
+    write_github_summary: bool,
 }
 
 impl Options {
@@ -270,18 +278,38 @@ fn build_cache(opts: &Options) -> Result<SubstrateCache, String> {
     }
 }
 
+/// [`parse_args`] for a subcommand whose positional arguments the caller
+/// has already taken off the front of `args`.
+fn parse_options(cmd: &str, args: &[String], allowed: &[Opt]) -> Result<Options, String> {
+    let (opts, positional) = parse_args(cmd, args, allowed)?;
+    match positional.first() {
+        Some(a) => Err(format!("unknown option '{a}'")),
+        None => Ok(opts),
+    }
+}
+
 /// Parses options, accepting only the flags `cmd` supports — a flag that
 /// *some other* subcommand accepts produces a targeted error instead of
 /// being silently ignored, and so does a flag given twice (the second
-/// value would silently win).
-fn parse_options(cmd: &str, args: &[String], allowed: &[Opt]) -> Result<Options, String> {
+/// value would silently win). Arguments that are neither a flag nor a
+/// flag's value come back in order.
+fn parse_args<'a>(
+    cmd: &str,
+    args: &'a [String],
+    allowed: &[Opt],
+) -> Result<(Options, Vec<&'a String>), String> {
     let mut opts = Options::default();
+    let mut positional = Vec::new();
     let mut seen: Vec<Opt> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            positional.push(a);
+            continue;
+        }
         // --size predates --tier; both name the dataset tier.
         let canonical = if a == "--size" { "--tier" } else { a.as_str() };
-        let Some(opt) = Opt::ALL.iter().copied().find(|o| o.flag() == canonical) else {
+        let Some(&(opt, _)) = Opt::ALL.iter().find(|(_, flag)| *flag == canonical) else {
             return Err(format!("unknown option '{a}'"));
         };
         if !allowed.contains(&opt) {
@@ -291,10 +319,12 @@ fn parse_options(cmd: &str, args: &[String], allowed: &[Opt]) -> Result<Options,
             return Err(format!("{} is given more than once", opt.flag()));
         }
         seen.push(opt);
-        if !opt.takes_value() {
+        if !opt.takes_value(cmd) {
             match opt {
                 Opt::Uarch => opts.uarch = true,
                 Opt::NoCache => opts.no_cache = true,
+                Opt::Json => opts.json_stdout = true,
+                Opt::WriteGithubSummary => opts.write_github_summary = true,
                 _ => unreachable!("only bare switches reach here"),
             }
             continue;
@@ -333,10 +363,29 @@ fn parse_options(cmd: &str, args: &[String], allowed: &[Opt]) -> Result<Options,
             Opt::Flame => opts.flame = Some(v.clone()),
             Opt::FlameSvg => opts.flame_svg = Some(v.clone()),
             Opt::SubstrateCache => opts.substrate_cache = Some(v.clone()),
-            Opt::Uarch | Opt::NoCache => unreachable!("bare switch"),
+            Opt::BaselineDir => opts.baseline_dir = Some(v.clone()),
+            Opt::DiffSvg => opts.diff_svg = Some(v.clone()),
+            Opt::Tolerance => {
+                let t: f64 = v
+                    .parse()
+                    .map_err(|_| format!("bad --tolerance '{v}' (want a fraction)"))?;
+                if !(t.is_finite() && t > 0.0) {
+                    return Err(format!("--tolerance must be a positive fraction, got {v}"));
+                }
+                opts.compare.rel_tolerance = t;
+            }
+            Opt::MinWallMs => {
+                let ns = v
+                    .parse::<u64>()
+                    .ok()
+                    .and_then(|ms| ms.checked_mul(1_000_000));
+                opts.compare.min_wall_ns =
+                    ns.ok_or_else(|| format!("bad --min-wall-ms '{v}' (want milliseconds)"))?;
+            }
+            Opt::Uarch | Opt::NoCache | Opt::WriteGithubSummary => unreachable!("bare switch"),
         }
     }
-    Ok(opts)
+    Ok((opts, positional))
 }
 
 fn write_trace(recorder: &TraceRecorder, path: &str) -> Result<(), String> {
@@ -1328,49 +1377,20 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             Ok(Outcome::Clean)
         }
         "compare" => {
-            let mut cfg = CompareConfig::default();
-            let mut json = false;
-            let mut write_summary = false;
-            let mut baseline_dir: Option<String> = None;
-            let mut diff_svg: Option<String> = None;
-            let mut positional: Vec<&String> = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--json" => json = true,
-                    "--write-github-summary" => write_summary = true,
-                    "--baseline-dir" => {
-                        let v = it.next().ok_or("--baseline-dir needs a directory")?;
-                        baseline_dir = Some(v.clone());
-                    }
-                    "--diff-svg" => {
-                        let v = it.next().ok_or("--diff-svg needs a directory")?;
-                        diff_svg = Some(v.clone());
-                    }
-                    "--tolerance" => {
-                        let v = it.next().ok_or("--tolerance needs a value")?;
-                        let t: f64 = v
-                            .parse()
-                            .map_err(|_| format!("bad --tolerance '{v}' (want a fraction)"))?;
-                        if !(t.is_finite() && t > 0.0) {
-                            return Err(format!(
-                                "--tolerance must be a positive fraction, got {v}"
-                            ));
-                        }
-                        cfg.rel_tolerance = t;
-                    }
-                    "--min-wall-ms" => {
-                        let v = it.next().ok_or("--min-wall-ms needs a value")?;
-                        let ms: u64 = v.parse().map_err(|_| format!("bad --min-wall-ms '{v}'"))?;
-                        cfg.min_wall_ns = ms * 1_000_000;
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(format!("unknown option '{other}'"))
-                    }
-                    _ => positional.push(a),
-                }
-            }
-            let (base, base_label, cand, cand_path) = match &baseline_dir {
+            let (opts, positional) = parse_args(
+                cmd,
+                &args[1..],
+                &[
+                    Opt::Json,
+                    Opt::BaselineDir,
+                    Opt::DiffSvg,
+                    Opt::Tolerance,
+                    Opt::MinWallMs,
+                    Opt::WriteGithubSummary,
+                ],
+            )?;
+            let cfg = opts.compare;
+            let (base, base_label, cand, cand_path) = match &opts.baseline_dir {
                 Some(dir) => {
                     let [cand_path] = positional.as_slice() else {
                         return Err(
@@ -1402,7 +1422,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                 }
             };
             let report = compare::compare(&base, &cand, &cfg);
-            if json {
+            if opts.json_stdout {
                 println!(
                     "{}",
                     serde_json::to_string_pretty(&report.to_json()).map_err(|e| e.to_string())?
@@ -1420,11 +1440,11 @@ tolerance {:.0}%, floor {}ms",
                     print_attribution(a);
                 }
             }
-            if let Some(dir) = &diff_svg {
+            if let Some(dir) = &opts.diff_svg {
                 let attributions: Vec<&StageAttribution> = report.attributions.iter().collect();
                 write_diff_svgs(&attributions, dir, "-diff")?;
             }
-            if write_summary {
+            if opts.write_github_summary {
                 append_github_summary(&github_summary_markdown(
                     &report,
                     &base_label,
@@ -1435,41 +1455,12 @@ tolerance {:.0}%, floor {}ms",
             Ok(gate(&report))
         }
         "trend" => {
-            let mut cfg = CompareConfig::default();
-            let mut json = false;
-            let mut diff_svg: Option<String> = None;
-            let mut paths: Vec<&String> = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--json" => json = true,
-                    "--diff-svg" => {
-                        let v = it.next().ok_or("--diff-svg needs a directory")?;
-                        diff_svg = Some(v.clone());
-                    }
-                    "--tolerance" => {
-                        let v = it.next().ok_or("--tolerance needs a value")?;
-                        let t: f64 = v
-                            .parse()
-                            .map_err(|_| format!("bad --tolerance '{v}' (want a fraction)"))?;
-                        if !(t.is_finite() && t > 0.0) {
-                            return Err(format!(
-                                "--tolerance must be a positive fraction, got {v}"
-                            ));
-                        }
-                        cfg.rel_tolerance = t;
-                    }
-                    "--min-wall-ms" => {
-                        let v = it.next().ok_or("--min-wall-ms needs a value")?;
-                        let ms: u64 = v.parse().map_err(|_| format!("bad --min-wall-ms '{v}'"))?;
-                        cfg.min_wall_ns = ms * 1_000_000;
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(format!("unknown option '{other}'"))
-                    }
-                    _ => paths.push(a),
-                }
-            }
+            let (opts, paths) = parse_args(
+                cmd,
+                &args[1..],
+                &[Opt::Json, Opt::DiffSvg, Opt::Tolerance, Opt::MinWallMs],
+            )?;
+            let cfg = opts.compare;
             if paths.is_empty() {
                 return Err("trend needs at least one manifest".into());
             }
@@ -1478,7 +1469,7 @@ tolerance {:.0}%, floor {}ms",
                 .map(|p| load_manifest(p))
                 .collect::<Result<_, _>>()?;
             let report = gb_obs::trend(&manifests, &cfg);
-            if json {
+            if opts.json_stdout {
                 println!(
                     "{}",
                     serde_json::to_string_pretty(&report.to_json()).map_err(|e| e.to_string())?
@@ -1499,7 +1490,7 @@ tolerance {:.0}%, floor {}ms",
                     }
                 }
             }
-            if let Some(dir) = &diff_svg {
+            if let Some(dir) = &opts.diff_svg {
                 let attributions: Vec<&StageAttribution> = report
                     .regressions()
                     .filter_map(|(_, k)| k.attribution.as_ref())

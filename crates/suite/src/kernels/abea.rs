@@ -11,6 +11,7 @@
 
 use super::{slot_gauges, KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
+use gb_core::rng::Rng;
 use gb_core::seq::DnaSeq;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::signal::{simulate_signal, Event, PoreModel, SignalSimConfig};
@@ -20,8 +21,6 @@ use gb_dp::DpEngine;
 use gb_simt::exec::GpuKernelReport;
 use gb_simt::kernels::{model_abea_gpu, AbeaGpuParams};
 use gb_uarch::probe::Probe;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Deterministic build product of the abea prepare phase: the simulated
@@ -148,7 +147,7 @@ impl KernelSpec for AbeaKernel {
             seeds::GENOME,
         );
         let model = PoreModel::r9_like();
-        let mut rng = StdRng::seed_from_u64(seeds::SIGNALS);
+        let mut rng = Rng::seed_from_u64(seeds::SIGNALS);
         let contig = genome.contig(0);
         let reads = (0..num_reads)
             .map(|_| {

@@ -10,14 +10,13 @@
 
 use super::{slot_gauges, KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
+use gb_core::rng::Rng;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_dp::bsw::{banded_sw_probed, run_batch, BatchReport, SwParams, SwResult, SwTask};
 use gb_dp::bsw_batch::{run_lockstep, LANES};
 use gb_dp::bsw_simd::{run_simd, simd_group_probed};
 use gb_dp::DpEngine;
 use gb_uarch::probe::Probe;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Deterministic build product of the bsw prepare phase: the sequence
@@ -168,7 +167,7 @@ impl KernelSpec for BswKernel {
             seeds::GENOME,
         );
         let contig = genome.contig(0);
-        let mut rng = StdRng::seed_from_u64(seeds::SHORT_READS ^ 0xB5);
+        let mut rng = Rng::seed_from_u64(seeds::SHORT_READS ^ 0xB5);
         let mut tasks = Vec::with_capacity(num_pairs);
         for _ in 0..num_pairs {
             // Length-diverse pairs: 60..=400 bases.

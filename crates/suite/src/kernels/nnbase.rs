@@ -2,6 +2,7 @@
 
 use super::{KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
+use gb_core::rng::Rng;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::signal::{simulate_signal, PoreModel, SignalSimConfig};
 use gb_dp::DpEngine;
@@ -9,8 +10,6 @@ use gb_nn::basecaller::{Basecaller, BasecallerConfig};
 use gb_simt::exec::GpuKernelReport;
 use gb_simt::kernels::{bonito_like_layers, model_nn_base_gpu, GemmGpuParams};
 use gb_uarch::probe::Probe;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Deterministic build product of the nn-base prepare phase: the
@@ -109,7 +108,7 @@ impl KernelSpec for NnBaseKernel {
             seeds::GENOME,
         );
         let pore = PoreModel::r9_like();
-        let mut rng = StdRng::seed_from_u64(seeds::SIGNALS ^ 0xBA5E);
+        let mut rng = Rng::seed_from_u64(seeds::SIGNALS ^ 0xBA5E);
         let contig = genome.contig(0);
         let mut chunks = Vec::with_capacity(num_chunks);
         let mut raw_pool: Vec<f32> = Vec::new();

@@ -232,16 +232,8 @@ mod tests {
         // Paper Fig. 4: phmm shows the largest per-task imbalance.
         let k = PhmmKernel::prepare(DatasetSize::Tiny, DpEngine::Scalar);
         let d = work_distribution(&k);
-        // Data-derived invariants that hold for any RNG stream: region
-        // work genuinely varies, so max exceeds both min and mean.
-        assert!(d.max > d.min, "degenerate work distribution: {d:?}");
-        assert!(d.imbalance > 1.0, "imbalance {}", d.imbalance);
-        // The 2x bound is calibrated against the real rand streams; the
-        // offline SplitMix64 stub draws different region sizes and only
-        // reaches ~1.9x on the tiny tier.
-        if !crate::test_support::rand_is_offline_stub() {
-            assert!(d.imbalance > 2.0, "imbalance {}", d.imbalance);
-        }
+        // 2.26x on the tiny tier's pinned dataset.
+        assert!(d.imbalance > 2.0, "{d:?}");
     }
 
     #[test]

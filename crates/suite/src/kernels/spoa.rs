@@ -11,6 +11,7 @@
 
 use super::{slot_gauges, KernelId, KernelMeta, KernelSpec, TaskOut};
 use crate::dataset::{seeds, DatasetSize};
+use gb_core::rng::Rng;
 use gb_core::seq::DnaSeq;
 use gb_datagen::genome::{Genome, GenomeConfig};
 use gb_datagen::reads::{simulate_reads, ErrorProfile, ReadSimConfig};
@@ -19,8 +20,6 @@ use gb_dp::DpEngine;
 use gb_poa::align::PoaParams;
 use gb_poa::consensus::window_consensus_engine_probed;
 use gb_uarch::probe::Probe;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Deterministic build product of the spoa prepare phase: the consensus
@@ -127,7 +126,7 @@ impl KernelSpec for SpoaKernel {
             },
             seeds::GENOME,
         );
-        let mut rng = StdRng::seed_from_u64(seeds::LONG_READS ^ 0x50A);
+        let mut rng = Rng::seed_from_u64(seeds::LONG_READS ^ 0x50A);
         let windows = (0..num_windows)
             .map(|w| {
                 let backbone = genome.contig(0).slice(w * window_len, (w + 1) * window_len);

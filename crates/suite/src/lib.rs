@@ -20,27 +20,3 @@ pub mod scaling;
 
 pub use dataset::DatasetSize;
 pub use kernels::{characterize, prepare, run_parallel, run_serial, Kernel, KernelId};
-
-/// Test-only helpers shared across the crate's unit tests.
-#[cfg(test)]
-pub(crate) mod test_support {
-    /// Whether the `rand` crate backing this build is the offline
-    /// SplitMix64 stub rather than the real crates.io release. The two
-    /// produce different numeric streams, so tests whose thresholds are
-    /// calibrated against the real streams (heavy-tailed region sizes,
-    /// exact pipeline reconstruction) assert their strict form only on
-    /// the real crate and a data-derived weaker form on the stub.
-    ///
-    /// Detection is behavioural: the stub's `StdRng` is SplitMix64, so
-    /// `seed_from_u64(0)` yields the mix of twice the golden-ratio
-    /// increment (once from seeding, once from the first step), which
-    /// the real ChaCha-based `StdRng` cannot reproduce.
-    pub(crate) fn rand_is_offline_stub() -> bool {
-        use rand::{rngs::StdRng, RngCore, SeedableRng};
-        let mut z = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(2);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        StdRng::seed_from_u64(0).next_u64() == z
-    }
-}

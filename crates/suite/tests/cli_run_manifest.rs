@@ -1,12 +1,9 @@
 //! End-to-end: a `genomicsbench run … --manifest-out` takes each kernel's
 //! `work_total` and its engine gauges from the run it timed, and they are
-//! the values `tests/golden/task_out.txt` pins for the library (compared
-//! where the build draws the golden's datasets; see `task_out_golden.rs`).
+//! the values `tests/golden/task_out.txt` pins for the library.
 
 use serde_json::Value;
 use std::process::Command;
-
-mod common;
 
 const GOLDEN: &str = include_str!("golden/task_out.txt");
 
@@ -34,7 +31,6 @@ fn run_manifest_carries_the_timed_runs_work_and_gauges() {
     let text = std::fs::read_to_string(&manifest).expect("manifest written");
     let _ = std::fs::remove_file(&manifest);
     let m: Value = serde_json::from_str(&text).expect("manifest is JSON");
-    let pinned = common::rand_is_offline_stub();
 
     for kernel in ["bsw", "spoa", "abea"] {
         let want: u64 = golden(kernel, "total_work")
@@ -42,15 +38,12 @@ fn run_manifest_carries_the_timed_runs_work_and_gauges() {
             .parse()
             .expect("golden number");
         let got = m["kernels"][kernel]["work_total"].as_u64();
-        assert!(got.is_some_and(|w| w > 0), "{kernel}: {got:?}");
+        assert_eq!(got, Some(want), "{kernel}");
         assert_eq!(
             m["metrics"]["counters"][format!("{kernel}.work_total").as_str()].as_u64(),
             got,
             "{kernel}"
         );
-        if pinned {
-            assert_eq!(got, Some(want), "{kernel}");
-        }
     }
 
     let gauges = &m["metrics"]["gauges"];
@@ -70,9 +63,7 @@ fn run_manifest_carries_the_timed_runs_work_and_gauges() {
             .expect("golden line")
             .parse()
             .expect("golden number");
-        if pinned {
-            assert!((got - want).abs() < 1e-12, "{name}: {got} vs {want}");
-        }
+        assert!((got - want).abs() < 1e-12, "{name}: {got} vs {want}");
     }
     assert!(
         gauges["bsw.dead_slot_fraction.unsorted"].is_null(),

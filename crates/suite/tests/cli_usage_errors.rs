@@ -6,7 +6,7 @@
 //! the second record). Both get the usage exit code (2) and leave no
 //! manifest behind. So does an option given twice — the second value
 //! used to win silently — and, over every option the CLI has, a missing
-//! value and an unknown flag.
+//! value, an unknown flag and a subcommand that does not take it.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -70,7 +70,7 @@ fn run_rejects_a_repeated_option() {
 /// Every option `parse_options` knows — the `Opt` variants, in order —
 /// with a subcommand that accepts it and, for the ones that take a
 /// value, a value it would accept.
-const OPTIONS: [(&str, &[&str], Option<&str>); 14] = [
+const OPTIONS: [(&str, &[&str], Option<&str>); 19] = [
     ("--tier", &["run", "bsw"], Some("tiny")),
     ("--threads", &["run", "bsw"], Some("1")),
     ("--dp-engine", &["run", "bsw"], Some("scalar")),
@@ -85,6 +85,19 @@ const OPTIONS: [(&str, &[&str], Option<&str>); 14] = [
     ("--flame-svg", &["profile", "bsw"], Some("gb_usage.svg")),
     ("--substrate-cache", &["run", "bsw"], Some("gb_usage_store")),
     ("--no-cache", &["run", "bsw"], None),
+    (
+        "--baseline-dir",
+        &["compare", "b.json"],
+        Some("gb_usage_dir"),
+    ),
+    ("--diff-svg", &["trend", "a.json"], Some("gb_usage_svgs")),
+    ("--tolerance", &["compare", "a.json", "b.json"], Some("0.5")),
+    ("--min-wall-ms", &["trend", "a.json"], Some("5")),
+    (
+        "--write-github-summary",
+        &["compare", "a.json", "b.json"],
+        None,
+    ),
 ];
 
 /// Runs `genomicsbench <args>` in a scratch directory and asserts a usage
@@ -125,5 +138,24 @@ fn every_option_rejects_a_missing_value_a_repeat_and_an_unknown_neighbour() {
         }
         let unknown = [cmd, &once[..], &["--bogus"][..]].concat();
         expect_usage_error(&unknown, "unknown option '--bogus'");
+        let misplaced = [&["list"][..], &once[..]].concat();
+        expect_usage_error(&misplaced, &format!("'list' does not accept {flag}"));
     }
+}
+
+#[test]
+fn compare_and_trend_parse_like_the_other_subcommands() {
+    // The parent computed ms * 1_000_000 unchecked: a panic in debug
+    // builds, a wrapped floor in release. (The table above covers the
+    // other defect: the last of two --tolerance values won.)
+    for cmd in [&["compare", "a.json", "b.json"][..], &["trend", "a.json"]] {
+        let overflow = [cmd, &["--min-wall-ms", "18446744073709551615"]].concat();
+        expect_usage_error(&overflow, "bad --min-wall-ms '18446744073709551615'");
+        let twice = [cmd, &["--json", "--json"]].concat();
+        expect_usage_error(&twice, "--json is given more than once");
+    }
+    let summary = ["trend", "a.json", "--write-github-summary"];
+    expect_usage_error(&summary, "'trend' does not accept --write-github-summary");
+    // Under these two --json is a switch: a.json is still the baseline.
+    expect_usage_error(&["compare", "--json", "a.json", "b.json"], "a.json");
 }
