@@ -83,12 +83,15 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
+    // PANIC-FREE: documented `# Panics` precondition, as for `row`.
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// The transpose of this matrix.
+    // PANIC-FREE: `t` is `cols x rows`, so `(c, r)` is inside it whenever
+    // `(r, c)` is inside `self`.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
@@ -134,6 +137,30 @@ impl Matrix {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
+    }
+}
+
+/// `dst[i] += a * src[i]` over the shorter of the two slices — the one
+/// inner loop of the dense kernels (conv, LSTM, dense, grm).
+///
+/// Every `dst[i]` is a separate sum, so the loop vectorizes without
+/// reassociating anything: a caller that feeds each output its terms in a
+/// fixed order gets the same bits at any vector width. The product and
+/// the sum round separately (no `mul_add`), as the scalar loops this
+/// replaced did.
+///
+/// # Examples
+///
+/// ```
+/// let mut acc = [1.0f32, 2.0];
+/// gb_core::matrix::axpy(&mut acc, 2.0, &[10.0, 20.0]);
+/// assert_eq!(acc, [21.0, 42.0]);
+/// ```
+// xtask: hot
+#[inline]
+pub fn axpy(dst: &mut [f32], a: f32, src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += a * s;
     }
 }
 

@@ -130,10 +130,13 @@ impl Basecaller {
         let mut logits = self.head.forward_probed(&x, probe);
         // Column-wise softmax into posteriors.
         let t_out = logits.cols();
+        let mut col = [0.0f32; 5];
         for t in 0..t_out {
-            let mut col: Vec<f32> = (0..5).map(|r| logits[(r, t)]).collect();
+            for (r, v) in col.iter_mut().enumerate() {
+                *v = logits[(r, t)];
+            }
             softmax(&mut col);
-            for (r, v) in col.into_iter().enumerate() {
+            for (r, &v) in col.iter().enumerate() {
                 logits[(r, t)] = v;
             }
         }

@@ -6,9 +6,9 @@
 //! (bidirectional, as in Clair), and the usual activations. Activations
 //! are `channels x time` matrices ([`Matrix`]).
 
-use gb_core::matrix::Matrix;
+use gb_core::matrix::{axpy, Matrix};
 use gb_core::rng::Rng;
-use gb_uarch::probe::{addr_of, NullProbe, Probe};
+use gb_uarch::probe::{load_slice, Probe};
 
 /// Xavier-uniform initialization for a `rows x cols` weight matrix.
 pub fn xavier(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
@@ -41,6 +41,35 @@ pub fn softmax(xs: &mut [f32]) {
     }
     for x in xs.iter_mut() {
         *x /= sum;
+    }
+}
+
+/// Adds one input row's share of a "same"-padded convolution to an output
+/// row: `out[to] += taps[k] * row[to * stride + k - pad]` wherever that
+/// index falls inside `row`, for `k` ascending — so each output keeps the
+/// term order of the scalar loop while the lanes run across outputs.
+// PANIC-FREE: `lo < hi` puts `lo * stride + k - pad` in `0..row.len()`
+// (the two bounds are that inequality solved for `to`), and `hi` is
+// clamped to `out.len()`.
+fn add_taps(out: &mut [f32], taps: &[f32], row: &[f32], stride: usize) {
+    let pad = taps.len() / 2;
+    for (k, &w) in taps.iter().enumerate() {
+        let lo = pad.saturating_sub(k).div_ceil(stride);
+        let hi = (row.len() + pad)
+            .saturating_sub(k)
+            .div_ceil(stride)
+            .min(out.len());
+        if lo >= hi {
+            continue;
+        }
+        let src = &row[lo * stride + k - pad..];
+        if stride == 1 {
+            axpy(&mut out[lo..hi], w, src);
+        } else {
+            for (o, &x) in out[lo..hi].iter_mut().zip(src.iter().step_by(stride)) {
+                *o += w * x;
+            }
+        }
     }
 }
 
@@ -82,41 +111,25 @@ impl Conv1d {
         t.div_ceil(self.stride)
     }
 
-    /// Applies the convolution to a `in_ch x T` activation.
-    pub fn forward(&self, input: &Matrix) -> Matrix {
-        self.forward_probed(input, &mut NullProbe)
-    }
-
-    /// [`Conv1d::forward`] with instrumentation.
-    // PANIC-FREE: the shape assert is the layer contract; `ti - pad` is
-    // guarded by `ti < pad` continue, and weight/row indices are bounded
-    // by the constructor's shapes.
+    /// Applies the convolution to a `in_ch x T` activation: each output
+    /// row starts as its bias and gains input channel after input channel.
+    // PANIC-FREE: the shape assert is the layer contract; weight, bias and
+    // row indices are bounded by the constructor's shapes.
     pub fn forward_probed<P: Probe>(&self, input: &Matrix, probe: &mut P) -> Matrix {
         assert_eq!(input.rows(), self.in_ch, "channel mismatch");
-        let t = input.cols();
-        let t_out = self.out_len(t);
-        let pad = self.kernel / 2;
+        let t_out = self.out_len(input.cols());
         let mut out = Matrix::zeros(self.out_ch, t_out);
         for oc in 0..self.out_ch {
             let w = self.weights.row(oc);
-            probe.load(addr_of(&w[0]), (w.len() * 4) as u32);
-            for to in 0..t_out {
-                let center = to * self.stride;
-                let mut acc = self.bias[oc];
-                for ic in 0..self.in_ch {
-                    let row = input.row(ic);
-                    for k in 0..self.kernel {
-                        let ti = center + k;
-                        if ti < pad || ti - pad >= t {
-                            continue;
-                        }
-                        acc += w[ic * self.kernel + k] * row[ti - pad];
-                    }
-                }
-                out[(oc, to)] = acc;
+            load_slice(probe, w);
+            let out_row = out.row_mut(oc);
+            out_row.fill(self.bias[oc]);
+            for ic in 0..self.in_ch {
+                let taps = &w[ic * self.kernel..(ic + 1) * self.kernel];
+                add_taps(out_row, taps, input.row(ic), self.stride);
             }
             probe.simd_ops((t_out * self.in_ch * self.kernel / 8 + 1) as u64);
-            probe.load(addr_of(&input.as_slice()[0]), (self.in_ch * t * 4) as u32);
+            load_slice(probe, input.as_slice());
         }
         out
     }
@@ -154,33 +167,19 @@ impl DepthwiseConv1d {
     }
 
     /// Applies the convolution (stride 1, same padding).
-    // PANIC-FREE: shape assert is the layer contract; the padding guard
-    // keeps `ti - pad < t`.
+    // PANIC-FREE: shape assert is the layer contract; `bias[c]` has one
+    // slot per channel by construction.
     pub fn forward_probed<P: Probe>(&self, input: &Matrix, probe: &mut P) -> Matrix {
         assert_eq!(input.rows(), self.channels);
         let t = input.cols();
-        let pad = self.kernel / 2;
         let mut out = Matrix::zeros(self.channels, t);
         for c in 0..self.channels {
-            let w = self.weights.row(c);
-            let row = input.row(c);
-            for to in 0..t {
-                let mut acc = self.bias[c];
-                for (k, &wk) in w.iter().enumerate() {
-                    let ti = to + k;
-                    if ti < pad || ti - pad >= t {
-                        continue;
-                    }
-                    acc += wk * row[ti - pad];
-                }
-                out[(c, to)] = acc;
-            }
+            let out_row = out.row_mut(c);
+            out_row.fill(self.bias[c]);
+            add_taps(out_row, self.weights.row(c), input.row(c), 1);
             probe.simd_ops((t * self.kernel / 8 + 1) as u64);
         }
-        probe.load(
-            addr_of(&input.as_slice()[0]),
-            (input.as_slice().len() * 4) as u32,
-        );
+        load_slice(probe, input.as_slice());
         out
     }
 
@@ -228,41 +227,36 @@ impl SeparableBlock {
 /// A dense (fully connected) layer.
 #[derive(Debug, Clone)]
 pub struct Dense {
-    /// Weights: `out x in`.
-    pub weights: Matrix,
+    /// Weights, transposed: `in x out`, so one input feeds a contiguous
+    /// row of outputs. Encoded as `out x in`.
+    wt: Matrix,
     /// Bias, length `out`.
-    pub bias: Vec<f32>,
+    bias: Vec<f32>,
 }
 
 impl Dense {
     /// Creates a randomly initialized dense layer.
     pub fn new(input: usize, output: usize, rng: &mut Rng) -> Dense {
         Dense {
-            weights: xavier(output, input, rng),
+            wt: xavier(output, input, rng).transpose(),
             bias: (0..output).map(|_| rng.gen_range(-0.1..0.1)).collect(),
         }
     }
 
-    /// `W x + b`.
-    // PANIC-FREE: the input-size assert is the layer contract; `bias[o]`
-    // has one slot per weight row by construction.
+    /// `W x + b`: the outputs start as the bias and gain one input's
+    /// column of `W` at a time.
+    // PANIC-FREE: the input-size assert is the layer contract.
     pub fn forward_probed<P: Probe>(&self, x: &[f32], probe: &mut P) -> Vec<f32> {
-        assert_eq!(x.len(), self.weights.cols(), "input size mismatch");
-        probe.load(addr_of(&x[0]), (x.len() * 4) as u32);
-        let mut out = Vec::with_capacity(self.weights.rows());
-        for o in 0..self.weights.rows() {
-            let w = self.weights.row(o);
-            let mut acc = self.bias[o];
-            for (wi, xi) in w.iter().zip(x) {
-                acc += wi * xi;
-            }
-            out.push(acc);
+        assert_eq!(x.len(), self.wt.rows(), "input size mismatch");
+        load_slice(probe, x);
+        let mut out = self.bias.clone();
+        for (i, &xi) in x.iter().enumerate() {
+            axpy(&mut out, xi, self.wt.row(i));
+        }
+        for _ in 0..out.len() {
             probe.simd_ops((x.len() / 8 + 1) as u64);
         }
-        probe.load(
-            addr_of(&self.weights.as_slice()[0]),
-            (self.weights.as_slice().len() * 4) as u32,
-        );
+        load_slice(probe, self.wt.as_slice());
         out
     }
 }
@@ -274,12 +268,14 @@ pub struct Lstm {
     pub input: usize,
     /// Hidden size.
     pub hidden: usize,
-    /// Input weights: `4*hidden x input` (i, f, g, o gate order).
-    pub w: Matrix,
-    /// Recurrent weights: `4*hidden x hidden`.
-    pub u: Matrix,
+    /// Input weights, transposed: `input x 4*hidden` (i, f, g, o gate
+    /// order along a row). Encoded as `4*hidden x input`.
+    wt: Matrix,
+    /// Recurrent weights, transposed: `hidden x 4*hidden`. Encoded as
+    /// `4*hidden x hidden`.
+    ut: Matrix,
     /// Gate biases, length `4*hidden`.
-    pub bias: Vec<f32>,
+    bias: Vec<f32>,
 }
 
 impl Lstm {
@@ -288,12 +284,12 @@ impl Lstm {
         Lstm {
             input,
             hidden,
-            w: xavier(4 * hidden, input, rng),
-            u: xavier(4 * hidden, hidden, rng),
+            wt: xavier(4 * hidden, input, rng).transpose(),
+            ut: xavier(4 * hidden, hidden, rng).transpose(),
             // Forget-gate bias +1, the standard stabilization.
             bias: (0..4 * hidden)
                 .map(|i| {
-                    if i >= hidden && i < 2 * hidden {
+                    if (hidden..2 * hidden).contains(&i) {
                         1.0
                     } else {
                         0.0
@@ -303,59 +299,67 @@ impl Lstm {
         }
     }
 
-    /// Runs over `steps` (each an input vector), returning all hidden
-    /// states as a `hidden x T` matrix. `reverse` iterates the sequence
-    /// backwards (for the backward half of a bi-LSTM) while still storing
-    /// states at their original positions.
-    // PANIC-FREE: the input-feature assert is the layer contract; gate and
-    // state indices are bounded by `4 * hidden` fixed in the constructor.
-    pub fn forward_probed<P: Probe>(&self, steps: &Matrix, reverse: bool, probe: &mut P) -> Matrix {
+    /// Runs over `steps` (each column an input vector), writing all hidden
+    /// states into `hs`, a row-major `hidden x T` block. `reverse`
+    /// iterates the sequence backwards (for the backward half of a
+    /// bi-LSTM) while still storing states at their original positions.
+    ///
+    /// The input half of every gate sum, `x_t·W_ih`, does not wait for
+    /// the recurrence, so it is taken for all timesteps first; each step
+    /// then continues those same sums with `h·W_hh`.
+    // PANIC-FREE: the input-feature and output-size asserts are the layer
+    // contract; `j * t_len + t` stays inside the `hidden x T` block.
+    pub fn forward_probed<P: Probe>(
+        &self,
+        steps: &Matrix,
+        reverse: bool,
+        hs: &mut [f32],
+        probe: &mut P,
+    ) {
         assert_eq!(steps.rows(), self.input, "input feature mismatch");
         let t_len = steps.cols();
         let h = self.hidden;
-        let mut hs = Matrix::zeros(h, t_len);
+        assert_eq!(hs.len(), h * t_len, "output size mismatch");
+        let mut sums = Matrix::zeros(t_len, 4 * h);
+        for t in 0..t_len {
+            for i in 0..self.input {
+                axpy(sums.row_mut(t), steps[(i, t)], self.wt.row(i));
+            }
+        }
         let mut hstate = vec![0.0f32; h];
         let mut cstate = vec![0.0f32; h];
-        let order: Vec<usize> = if reverse {
-            (0..t_len).rev().collect()
-        } else {
-            (0..t_len).collect()
-        };
-        for t in order {
-            let mut gates = self.bias.clone();
-            for (g, gate) in gates.iter_mut().enumerate() {
-                let wrow = self.w.row(g);
-                let mut acc = 0.0f32;
-                for i in 0..self.input {
-                    acc += wrow[i] * steps[(i, t)];
-                }
-                let urow = self.u.row(g);
-                for (ui, hi) in urow.iter().zip(&hstate) {
-                    acc += ui * hi;
-                }
-                *gate += acc;
-            }
+        for s in 0..t_len {
+            let t = if reverse { t_len - 1 - s } else { s };
+            self.step(sums.row_mut(t), &mut hstate, &mut cstate);
             probe.simd_ops((4 * h * (self.input + h) / 8 + 1) as u64);
-            probe.load(
-                addr_of(&self.w.as_slice()[0]),
-                (self.w.as_slice().len() * 4) as u32,
-            );
-            probe.load(
-                addr_of(&self.u.as_slice()[0]),
-                (self.u.as_slice().len() * 4) as u32,
-            );
-            for j in 0..h {
-                let i_g = sigmoid(gates[j]);
-                let f_g = sigmoid(gates[h + j]);
-                let g_g = gates[2 * h + j].tanh();
-                let o_g = sigmoid(gates[3 * h + j]);
-                cstate[j] = f_g * cstate[j] + i_g * g_g;
-                hstate[j] = o_g * cstate[j].tanh();
-                hs[(j, t)] = hstate[j];
+            load_slice(probe, self.wt.as_slice());
+            load_slice(probe, self.ut.as_slice());
+            for (j, &hj) in hstate.iter().enumerate() {
+                hs[j * t_len + t] = hj;
             }
             probe.fp_ops(10 * h as u64);
         }
-        hs
+    }
+
+    /// One step of the recurrence: `sums` arrives holding `x_t·W_ih`,
+    /// gains `h·W_hh` term by term and the bias last, and the gates
+    /// update both states in place.
+    // xtask: hot
+    // PANIC-FREE: `sums` and `bias` hold `4 * hidden` values and both
+    // states `hidden`, fixed by the constructor and `forward_probed`.
+    fn step(&self, sums: &mut [f32], hstate: &mut [f32], cstate: &mut [f32]) {
+        let h = self.hidden;
+        for (j, &hj) in hstate.iter().enumerate() {
+            axpy(sums, hj, self.ut.row(j));
+        }
+        for j in 0..h {
+            let i_g = sigmoid(self.bias[j] + sums[j]);
+            let f_g = sigmoid(self.bias[h + j] + sums[h + j]);
+            let g_g = (self.bias[2 * h + j] + sums[2 * h + j]).tanh();
+            let o_g = sigmoid(self.bias[3 * h + j] + sums[3 * h + j]);
+            cstate[j] = f_g * cstate[j] + i_g * g_g;
+            hstate[j] = o_g * cstate[j].tanh();
+        }
     }
 
     /// Multiply-accumulate count per timestep.
@@ -383,20 +387,13 @@ impl BiLstm {
     }
 
     /// Output: `2*hidden x T` (forward states stacked over backward).
-    // PANIC-FREE: both halves return `hidden x T` matrices, so the stack
-    // loop's `(h + j, ti)` stays inside the `2*hidden x T` output.
     pub fn forward_probed<P: Probe>(&self, steps: &Matrix, probe: &mut P) -> Matrix {
-        let f = self.fwd.forward_probed(steps, false, probe);
-        let b = self.bwd.forward_probed(steps, true, probe);
         let h = self.fwd.hidden;
         let t = steps.cols();
         let mut out = Matrix::zeros(2 * h, t);
-        for j in 0..h {
-            for ti in 0..t {
-                out[(j, ti)] = f[(j, ti)];
-                out[(h + j, ti)] = b[(j, ti)];
-            }
-        }
+        let (top, bottom) = out.as_mut_slice().split_at_mut(h * t);
+        self.fwd.forward_probed(steps, false, top, probe);
+        self.bwd.forward_probed(steps, true, bottom, probe);
         out
     }
 }
@@ -457,13 +454,13 @@ impl gb_substrate::Codec for SeparableBlock {
 
 impl gb_substrate::Codec for Dense {
     fn encode(&self, e: &mut gb_substrate::Encoder) {
-        gb_substrate::Codec::encode(&self.weights, e);
+        gb_substrate::Codec::encode(&self.wt.transpose(), e);
         gb_substrate::Codec::encode(&self.bias, e);
     }
 
     fn decode(d: &mut gb_substrate::Decoder) -> Option<Dense> {
         Some(Dense {
-            weights: gb_substrate::Codec::decode(d)?,
+            wt: <Matrix as gb_substrate::Codec>::decode(d)?.transpose(),
             bias: gb_substrate::Codec::decode(d)?,
         })
     }
@@ -473,8 +470,8 @@ impl gb_substrate::Codec for Lstm {
     fn encode(&self, e: &mut gb_substrate::Encoder) {
         e.put_usize(self.input);
         e.put_usize(self.hidden);
-        gb_substrate::Codec::encode(&self.w, e);
-        gb_substrate::Codec::encode(&self.u, e);
+        gb_substrate::Codec::encode(&self.wt.transpose(), e);
+        gb_substrate::Codec::encode(&self.ut.transpose(), e);
         gb_substrate::Codec::encode(&self.bias, e);
     }
 
@@ -482,8 +479,8 @@ impl gb_substrate::Codec for Lstm {
         Some(Lstm {
             input: d.get_usize()?,
             hidden: d.get_usize()?,
-            w: gb_substrate::Codec::decode(d)?,
-            u: gb_substrate::Codec::decode(d)?,
+            wt: <Matrix as gb_substrate::Codec>::decode(d)?.transpose(),
+            ut: <Matrix as gb_substrate::Codec>::decode(d)?.transpose(),
             bias: gb_substrate::Codec::decode(d)?,
         })
     }
@@ -506,9 +503,206 @@ impl gb_substrate::Codec for BiLstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_uarch::mix::MixProbe;
+    use gb_uarch::probe::NullProbe;
 
     fn rng() -> Rng {
         Rng::seed_from_u64(42)
+    }
+
+    // The oracles: the loops these layers ran before the lanes went
+    // across outputs, one serial `acc += w * x` chain per output. The
+    // layers must match them bit for bit, in the debug profile and in
+    // `--release`, the one that is timed.
+
+    fn naive_conv1d(c: &Conv1d, input: &Matrix) -> Matrix {
+        let t = input.cols();
+        let pad = c.kernel / 2;
+        let mut out = Matrix::zeros(c.out_ch, c.out_len(t));
+        for oc in 0..c.out_ch {
+            let w = c.weights.row(oc);
+            for to in 0..c.out_len(t) {
+                let mut acc = c.bias[oc];
+                for ic in 0..c.in_ch {
+                    for k in 0..c.kernel {
+                        let ti = to * c.stride + k;
+                        if ti < pad || ti - pad >= t {
+                            continue;
+                        }
+                        acc += w[ic * c.kernel + k] * input[(ic, ti - pad)];
+                    }
+                }
+                out[(oc, to)] = acc;
+            }
+        }
+        out
+    }
+
+    fn naive_depthwise(d: &DepthwiseConv1d, input: &Matrix) -> Matrix {
+        let t = input.cols();
+        let pad = d.kernel / 2;
+        let mut out = Matrix::zeros(d.channels, t);
+        for c in 0..d.channels {
+            for to in 0..t {
+                let mut acc = d.bias[c];
+                for (k, &wk) in d.weights.row(c).iter().enumerate() {
+                    let ti = to + k;
+                    if ti < pad || ti - pad >= t {
+                        continue;
+                    }
+                    acc += wk * input[(c, ti - pad)];
+                }
+                out[(c, to)] = acc;
+            }
+        }
+        out
+    }
+
+    fn naive_dense(d: &Dense, x: &[f32]) -> Vec<f32> {
+        (0..d.bias.len())
+            .map(|o| {
+                let mut acc = d.bias[o];
+                for (i, xi) in x.iter().enumerate() {
+                    acc += d.wt[(i, o)] * xi;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    fn naive_lstm(l: &Lstm, steps: &Matrix, reverse: bool) -> Matrix {
+        let (t_len, h) = (steps.cols(), l.hidden);
+        let mut hs = Matrix::zeros(h, t_len);
+        let mut hstate = vec![0.0f32; h];
+        let mut cstate = vec![0.0f32; h];
+        let mut order: Vec<usize> = (0..t_len).collect();
+        if reverse {
+            order.reverse();
+        }
+        for t in order {
+            let mut gates = l.bias.clone();
+            for (g, gate) in gates.iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for i in 0..l.input {
+                    acc += l.wt[(i, g)] * steps[(i, t)];
+                }
+                for (j, hj) in hstate.iter().enumerate() {
+                    acc += l.ut[(j, g)] * hj;
+                }
+                *gate += acc;
+            }
+            for j in 0..h {
+                let i_g = sigmoid(gates[j]);
+                let f_g = sigmoid(gates[h + j]);
+                let g_g = gates[2 * h + j].tanh();
+                let o_g = sigmoid(gates[3 * h + j]);
+                cstate[j] = f_g * cstate[j] + i_g * g_g;
+                hstate[j] = o_g * cstate[j].tanh();
+                hs[(j, t)] = hstate[j];
+            }
+        }
+        hs
+    }
+
+    fn run_lstm(l: &Lstm, steps: &Matrix, reverse: bool) -> Matrix {
+        let mut hs = Matrix::zeros(l.hidden, steps.cols());
+        l.forward_probed(steps, reverse, hs.as_mut_slice(), &mut NullProbe);
+        hs
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    #[test]
+    fn convolutions_match_the_scalar_loops_bit_for_bit() {
+        let mut rng = rng();
+        // Kernel 9 over T <= 3 is wider than its input on both sides.
+        for stride in [1, 2, 5] {
+            for kernel in [1, 3, 9] {
+                for t in [1, 2, 3, 7, 8, 41] {
+                    for in_ch in [1, 3] {
+                        let what = format!("stride {stride} kernel {kernel} t {t} in_ch {in_ch}");
+                        let input = xavier(in_ch, t, &mut rng);
+                        let c = Conv1d::new(in_ch, 4, kernel, stride, &mut rng);
+                        let out = c.forward_probed(&input, &mut NullProbe);
+                        assert_eq!(out.shape(), (4, t.div_ceil(stride)), "{what}");
+                        assert_same_bits(
+                            out.as_slice(),
+                            naive_conv1d(&c, &input).as_slice(),
+                            &what,
+                        );
+                        let d = DepthwiseConv1d::new(in_ch, kernel, &mut rng);
+                        assert_same_bits(
+                            d.forward_probed(&input, &mut NullProbe).as_slice(),
+                            naive_depthwise(&d, &input).as_slice(),
+                            &what,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_matches_the_scalar_loop_bit_for_bit() {
+        let mut rng = rng();
+        for (input, output) in [(1, 1), (3, 4), (7, 3), (96, 5), (192, 96)] {
+            let d = Dense::new(input, output, &mut rng);
+            let x = xavier(1, input, &mut rng);
+            assert_same_bits(
+                &d.forward_probed(x.as_slice(), &mut NullProbe),
+                &naive_dense(&d, x.as_slice()),
+                &format!("{input} -> {output}"),
+            );
+        }
+    }
+
+    #[test]
+    fn lstm_matches_the_scalar_loops_bit_for_bit() {
+        let mut rng = rng();
+        // Hidden sizes on and off a multiple of the vector width.
+        for hidden in [1, 3, 5, 6, 16] {
+            for input in [1, 4, 7] {
+                for t_len in [1, 2, 9] {
+                    let l = Lstm::new(input, hidden, &mut rng);
+                    let steps = xavier(input, t_len, &mut rng);
+                    for reverse in [false, true] {
+                        assert_same_bits(
+                            run_lstm(&l, &steps, reverse).as_slice(),
+                            naive_lstm(&l, &steps, reverse).as_slice(),
+                            &format!("hidden {hidden} input {input} T {t_len} reverse {reverse}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv_of_an_empty_activation_is_empty() {
+        let c = Conv1d::new(3, 4, 5, 2, &mut rng());
+        let mut probe = MixProbe::new();
+        let out = c.forward_probed(&Matrix::zeros(3, 0), &mut probe);
+        assert_eq!(out.shape(), (4, 0));
+    }
+
+    #[test]
+    fn depthwise_of_an_empty_activation_is_empty() {
+        let d = DepthwiseConv1d::new(3, 5, &mut rng());
+        let mut probe = MixProbe::new();
+        let out = d.forward_probed(&Matrix::zeros(3, 0), &mut probe);
+        assert_eq!(out.shape(), (3, 0));
+        assert_eq!(probe.mix().loads, 0, "no input, no load event");
+    }
+
+    #[test]
+    fn dense_of_an_empty_vector_is_its_bias() {
+        let d = Dense::new(0, 3, &mut rng());
+        let mut probe = MixProbe::new();
+        assert_eq!(d.forward_probed(&[], &mut probe), d.bias);
+        assert_eq!(probe.mix().loads, 0, "no input, no weights, no load event");
     }
 
     #[test]
@@ -526,7 +720,7 @@ mod tests {
         c.weights = Matrix::from_vec(1, 3, vec![0.0, 1.0, 0.0]);
         c.bias = vec![0.0];
         let input = Matrix::from_vec(1, 5, vec![1., 2., 3., 4., 5.]);
-        let out = c.forward(&input);
+        let out = c.forward_probed(&input, &mut NullProbe);
         assert_eq!(out.as_slice(), input.as_slice());
     }
 
@@ -534,7 +728,7 @@ mod tests {
     fn conv_stride_downsamples() {
         let c = Conv1d::new(2, 4, 5, 3, &mut rng());
         let input = Matrix::zeros(2, 30);
-        let out = c.forward(&input);
+        let out = c.forward_probed(&input, &mut NullProbe);
         assert_eq!(out.shape(), (4, 10));
     }
 
@@ -544,7 +738,7 @@ mod tests {
         c.weights = Matrix::from_vec(1, 3, vec![1.0, 1.0, 1.0]);
         c.bias = vec![0.0];
         let input = Matrix::from_vec(1, 3, vec![1., 1., 1.]);
-        let out = c.forward(&input);
+        let out = c.forward_probed(&input, &mut NullProbe);
         assert_eq!(out.as_slice(), &[2.0, 3.0, 2.0]);
     }
 
@@ -561,19 +755,36 @@ mod tests {
 
     #[test]
     fn dense_matches_manual_product() {
-        let mut d = Dense::new(3, 2, &mut rng());
-        d.weights = Matrix::from_vec(2, 3, vec![1., 0., 0., 0., 1., 1.]);
-        d.bias = vec![0.5, -0.5];
+        let d = Dense {
+            wt: Matrix::from_vec(2, 3, vec![1., 0., 0., 0., 1., 1.]).transpose(),
+            bias: vec![0.5, -0.5],
+        };
         let out = d.forward_probed(&[2.0, 3.0, 4.0], &mut NullProbe);
         assert_eq!(out, vec![2.5, 6.5]);
+    }
+
+    #[test]
+    fn transposed_weights_encode_as_they_were_drawn() {
+        // The substrate stores `out x in`; the layers hold the transpose.
+        let mut e = gb_substrate::Encoder::new();
+        gb_substrate::Codec::encode(&Lstm::new(3, 2, &mut rng()), &mut e);
+        let mut r = rng();
+        let (w, u) = (xavier(8, 3, &mut r), xavier(8, 2, &mut r));
+        let mut want = gb_substrate::Encoder::new();
+        want.put_usize(3);
+        want.put_usize(2);
+        gb_substrate::Codec::encode(&w, &mut want);
+        gb_substrate::Codec::encode(&u, &mut want);
+        gb_substrate::Codec::encode(&vec![0.0f32, 0., 1., 1., 0., 0., 0., 0.], &mut want);
+        assert_eq!(e.into_bytes(), want.into_bytes());
     }
 
     #[test]
     fn lstm_shapes_and_determinism() {
         let l = Lstm::new(8, 16, &mut rng());
         let steps = xavier(8, 10, &mut rng());
-        let a = l.forward_probed(&steps, false, &mut NullProbe);
-        let b = l.forward_probed(&steps, false, &mut NullProbe);
+        let a = run_lstm(&l, &steps, false);
+        let b = run_lstm(&l, &steps, false);
         assert_eq!(a.shape(), (16, 10));
         assert_eq!(a, b);
         // States are bounded by tanh.
@@ -586,24 +797,22 @@ mod tests {
         let zeros = Matrix::zeros(2, 6);
         let mut spiked = Matrix::zeros(2, 6);
         spiked[(0, 0)] = 5.0;
-        let a = l.forward_probed(&zeros, false, &mut NullProbe);
-        let b = l.forward_probed(&spiked, false, &mut NullProbe);
+        let a = run_lstm(&l, &zeros, false);
+        let b = run_lstm(&l, &spiked, false);
         // The t=0 spike must influence the final state.
         let last_diff: f32 = (0..8).map(|j| (a[(j, 5)] - b[(j, 5)]).abs()).sum();
         assert!(last_diff > 1e-4, "spike vanished: {last_diff}");
     }
 
     #[test]
-    fn bilstm_concatenates_directions() {
+    fn bilstm_stacks_forward_over_backward() {
         let bl = BiLstm::new(4, 6, &mut rng());
         let steps = xavier(4, 7, &mut rng());
         let out = bl.forward_probed(&steps, &mut NullProbe);
         assert_eq!(out.shape(), (12, 7));
-        // Backward half at t=T-1 equals backward LSTM's first processed
-        // step; just check the two halves differ.
-        let fwd_sum: f32 = (0..6).map(|j| out[(j, 3)].abs()).sum();
-        let bwd_sum: f32 = (0..6).map(|j| out[(6 + j, 3)].abs()).sum();
-        assert!((fwd_sum - bwd_sum).abs() > 1e-6);
+        let (top, bottom) = out.as_slice().split_at(6 * 7);
+        assert_eq!(top, run_lstm(&bl.fwd, &steps, false).as_slice());
+        assert_eq!(bottom, run_lstm(&bl.bwd, &steps, true).as_slice());
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! standardizes once, then runs a cache-blocked, optionally multithreaded
 //! matrix product over the upper triangle.
 
-use gb_core::matrix::Matrix;
+use gb_core::matrix::{axpy, Matrix};
 use gb_datagen::genotypes::GenotypeMatrix;
-use gb_uarch::probe::{addr_of, NullProbe, Probe};
+use gb_uarch::probe::{addr_of, load_slice, NullProbe, Probe};
 
 /// Parameters of the GRM computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,119 +64,125 @@ pub fn standardize(geno: &GenotypeMatrix) -> Matrix {
     z
 }
 
-/// Computes the GRM serially with cache blocking.
+/// Rows of one stripe: as many independent dot products as run side by
+/// side, one per lane, against each row of `Z`.
+pub const STRIPE: usize = 16;
+
+/// Up to [`STRIPE`] rows of `Z`, interleaved marker by marker so that one
+/// marker of all of them is one contiguous group of lanes. Missing rows
+/// (a stripe cut short by the matrix's edge) are zeros. `s x STRIPE`
+/// floats, built per stripe and dropped with it.
+pub struct Stripe {
+    zt: Vec<f32>,
+}
+
+impl Stripe {
+    /// Interleaves `rows` of `z`; at most [`STRIPE`] of them are taken.
+    // PANIC-FREE: `lane < STRIPE`, the length of every `group`.
+    pub fn new(z: &Matrix, rows: std::ops::Range<usize>) -> Stripe {
+        let mut zt = vec![0.0f32; z.cols() * STRIPE];
+        for (lane, i) in rows.take(STRIPE).enumerate() {
+            for (group, &v) in zt.chunks_exact_mut(STRIPE).zip(z.row(i)) {
+                group[lane] = v;
+            }
+        }
+        Stripe { zt }
+    }
+
+    /// The stripe's rows dotted with `zj`, lane `r` holding row `r`'s.
+    /// Every lane adds its `zi[k] * zj[k]` for `k` ascending from 0.0 —
+    /// the plain dot product's order, so its bits.
+    // xtask: hot
+    pub fn dots(&self, zj: &[f32]) -> [f32; STRIPE] {
+        let mut acc = [0.0f32; STRIPE];
+        for (group, &x) in self.zt.chunks_exact(STRIPE).zip(zj) {
+            axpy(&mut acc, x, group);
+        }
+        acc
+    }
+}
+
+/// Computes the GRM: standardizes, then [`grm_from_z_probed`].
 ///
 /// # Examples
 ///
 /// ```
 /// use gb_datagen::genotypes::GenotypeMatrix;
-/// use gb_popgen::grm::{compute_grm, GrmParams};
+/// use gb_popgen::grm::{compute_grm_probed, GrmParams};
+/// use gb_uarch::probe::NullProbe;
 /// let geno = GenotypeMatrix::generate(20, 100, 1);
-/// let g = compute_grm(&geno, &GrmParams::default());
+/// let g = compute_grm_probed(&geno, &GrmParams::default(), &mut NullProbe);
 /// assert_eq!(g.shape(), (20, 20));
 /// // Symmetric by construction.
-/// assert!((g[(3, 7)] - g[(7, 3)]).abs() < 1e-5);
+/// assert_eq!(g[(3, 7)], g[(7, 3)]);
 /// ```
-pub fn compute_grm(geno: &GenotypeMatrix, params: &GrmParams) -> Matrix {
-    compute_grm_probed(geno, params, &mut NullProbe)
-}
-
-/// [`compute_grm`] with instrumentation (the blocked inner product's
-/// loads and fused multiply-add vector work).
 pub fn compute_grm_probed<P: Probe>(
     geno: &GenotypeMatrix,
     params: &GrmParams,
     probe: &mut P,
 ) -> Matrix {
-    let z = standardize(geno);
-    if params.threads > 1 {
-        grm_from_z_parallel(&z, params)
-    } else {
-        grm_from_z_probed(&z, params.block, probe)
-    }
+    grm_from_z_probed(&standardize(geno), params, probe)
 }
 
-/// The blocked `Z Z^T / S` product (upper triangle mirrored).
-pub fn grm_from_z_probed<P: Probe>(z: &Matrix, block: usize, probe: &mut P) -> Matrix {
-    let (n, s) = z.shape();
-    let block = block.max(1);
+/// The blocked `Z Z^T / S` product: the upper triangle by stripes of
+/// rows, mirrored afterwards. With `params.threads > 1` the rows are
+/// dealt out to scoped threads in contiguous runs and only the serial
+/// path reports to `probe` (the blocked inner product's loads and
+/// multiply-add vector work).
+pub fn grm_from_z_probed<P: Probe>(z: &Matrix, params: &GrmParams, probe: &mut P) -> Matrix {
+    let n = z.rows();
     let mut g = Matrix::zeros(n, n);
+    if params.threads <= 1 {
+        fill_rows(z, 0, g.as_mut_slice(), params.block, probe);
+    } else {
+        let run = n.div_ceil(params.threads);
+        std::thread::scope(|scope| {
+            let slabs = g.as_mut_slice().chunks_mut((run * n).max(1));
+            for (t, slab) in slabs.enumerate() {
+                scope.spawn(move || fill_rows(z, t * run, slab, params.block, &mut NullProbe));
+            }
+        });
+    }
+    for i in 0..n {
+        for j in i + 1..n {
+            g[(j, i)] = g[(i, j)];
+        }
+    }
+    g
+}
+
+/// Fills `slab` — rows `first..` of the `n`-wide result, whole rows — at
+/// and right of the diagonal. Blocks of `block` rows `zj` are the outer
+/// loop, so one stays cache-resident while every stripe passes over it.
+// PANIC-FREE: `slab` is whole rows of an `n x n` matrix starting at row
+// `first`, so `(i - first) * n + j` with `i < last`, `j < n` is inside it.
+fn fill_rows<P: Probe>(z: &Matrix, first: usize, slab: &mut [f32], block: usize, probe: &mut P) {
+    let (n, s) = z.shape();
     let inv_s = 1.0 / s as f32;
-    for ib in (0..n).step_by(block) {
-        for jb in (ib..n).step_by(block) {
-            let imax = (ib + block).min(n);
-            let jmax = (jb + block).min(n);
-            for i in ib..imax {
-                let zi = z.row(i);
-                probe.load(addr_of(&zi[0]), (s * 4) as u32);
-                let jstart = jb.max(i);
-                for j in jstart..jmax {
-                    let zj = z.row(j);
-                    probe.load(addr_of(&zj[0]), (s * 4) as u32);
-                    let mut acc = 0.0f32;
-                    for k in 0..s {
-                        acc += zi[k] * zj[k];
-                    }
+    let last = first + slab.len() / n.max(1);
+    let block = block.max(1);
+    for jb in (first..n).step_by(block) {
+        let jmax = (jb + block).min(n);
+        for lo in (first..last.min(jmax)).step_by(STRIPE) {
+            let hi = (lo + STRIPE).min(last);
+            let stripe = Stripe::new(z, lo..hi);
+            for i in lo..hi {
+                load_slice(probe, z.row(i));
+            }
+            for j in jb.max(lo)..jmax {
+                load_slice(probe, z.row(j));
+                let dots = stripe.dots(z.row(j));
+                for i in lo..hi.min(j + 1) {
                     // 8-lane FMA model: one vector op per 8 elements.
                     probe.simd_ops(s.div_ceil(8) as u64);
-                    let v = acc * inv_s;
-                    g[(i, j)] = v;
-                    g[(j, i)] = v;
-                    probe.store(addr_of(&g[(i, j)]), 8);
+                    let slot = &mut slab[(i - first) * n + j];
+                    *slot = dots[i - lo] * inv_s;
+                    probe.store(addr_of(slot), 8);
                     probe.int_ops(4);
                 }
             }
         }
     }
-    g
-}
-
-/// Multithreaded GRM: output row-blocks distributed over scoped threads.
-fn grm_from_z_parallel(z: &Matrix, params: &GrmParams) -> Matrix {
-    let (n, s) = z.shape();
-    let inv_s = 1.0 / s as f32;
-    let threads = params.threads.max(1);
-    // Each worker produces complete rows i for its stripe (j >= i), which
-    // are mirrored in a single pass afterwards.
-    let rows: Vec<Vec<f32>> = std::thread::scope(|scope| {
-        let chunk = n.div_ceil(threads);
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let z = &z;
-                scope.spawn(move || {
-                    let lo = (t * chunk).min(n);
-                    let hi = ((t + 1) * chunk).min(n);
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for i in lo..hi {
-                        let zi = z.row(i);
-                        let mut row = vec![0.0f32; n];
-                        for (j, slot) in row.iter_mut().enumerate().skip(i) {
-                            let zj = z.row(j);
-                            let mut acc = 0.0f32;
-                            for k in 0..s {
-                                acc += zi[k] * zj[k];
-                            }
-                            *slot = acc * inv_s;
-                        }
-                        out.push(row);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("grm worker panicked"))
-            .collect()
-    });
-    let mut g = Matrix::zeros(n, n);
-    for (i, row) in rows.iter().enumerate() {
-        for j in i..n {
-            g[(i, j)] = row[j];
-            g[(j, i)] = row[j];
-        }
-    }
-    g
 }
 
 /// Naive per-element reference straight from the paper's equation.
@@ -210,16 +216,59 @@ mod tests {
         GenotypeMatrix::generate(40, 300, 9)
     }
 
+    fn grm(geno: &GenotypeMatrix, block: usize, threads: usize) -> Matrix {
+        compute_grm_probed(geno, &GrmParams { block, threads }, &mut NullProbe)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The oracle: one serial `acc += zi[k] * zj[k]` chain per entry.
+    fn plain_grm(z: &Matrix) -> Matrix {
+        let (n, s) = z.shape();
+        let mut g = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for k in 0..s {
+                    acc += z[(i, k)] * z[(j, k)];
+                }
+                g[(i, j)] = acc * (1.0 / s as f32);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn every_dot_matches_the_k_ordered_loop_bit_for_bit() {
+        // Shapes on and off a multiple of STRIPE, every block size, serial
+        // and threaded (more workers than rows included).
+        for (n, s) in [(1, 5), (15, 64), (16, 33), (17, 300), (40, 7)] {
+            let z = standardize(&GenotypeMatrix::generate(n, s, 7 + n as u64));
+            let want = bits(&plain_grm(&z));
+            for block in 1..=n + 1 {
+                for threads in [1, 2, 3, 64] {
+                    let params = GrmParams { block, threads };
+                    let got = grm_from_z_probed(&z, &params, &mut NullProbe);
+                    assert_eq!(bits(&got), want, "n {n} s {s} {params:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_short_stripe_pads_with_zero_rows() {
+        let z = standardize(&geno());
+        let dots = Stripe::new(&z, 38..40).dots(z.row(3));
+        assert!(dots[0] != 0.0 && dots[1] != 0.0);
+        assert_eq!(dots[2..], [0.0; STRIPE - 2]);
+    }
+
     #[test]
     fn blocked_matches_naive() {
         let g = geno();
-        let blocked = compute_grm(
-            &g,
-            &GrmParams {
-                block: 7,
-                threads: 1,
-            },
-        );
+        let blocked = grm(&g, 7, 1);
         let naive = naive_grm(&g);
         assert!(
             blocked.max_abs_diff(&naive) < 1e-3,
@@ -231,22 +280,15 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let g = geno();
-        let serial = compute_grm(
-            &g,
-            &GrmParams {
-                block: 16,
-                threads: 1,
-            },
-        );
+        let serial = grm(&g, 16, 1);
         for threads in [2, 3, 8] {
-            let par = compute_grm(&g, &GrmParams { block: 16, threads });
-            assert!(serial.max_abs_diff(&par) < 1e-5, "threads {threads}");
+            assert_eq!(bits(&serial), bits(&grm(&g, 16, threads)), "{threads}");
         }
     }
 
     #[test]
     fn grm_is_symmetric() {
-        let m = compute_grm(&geno(), &GrmParams::default());
+        let m = grm(&geno(), 32, 1);
         let (n, _) = m.shape();
         for i in 0..n {
             for j in 0..n {
@@ -260,7 +302,7 @@ mod tests {
         // Under Hardy-Weinberg, E[(x - 2p)^2] = 2p(1-p), so diagonal
         // entries average ~1.
         let g = GenotypeMatrix::generate(60, 4000, 11);
-        let m = compute_grm(&g, &GrmParams::default());
+        let m = grm(&g, 32, 1);
         let mean_diag: f32 = (0..60).map(|i| m[(i, i)]).sum::<f32>() / 60.0;
         assert!((mean_diag - 1.0).abs() < 0.1, "mean diagonal {mean_diag}");
     }
@@ -268,8 +310,7 @@ mod tests {
     #[test]
     fn grm_is_positive_semidefinite_quadratic() {
         // G = ZZ^T/S, so v^T G v = |Z^T v|^2 / S >= 0 for any v.
-        let g = geno();
-        let m = compute_grm(&g, &GrmParams::default());
+        let m = grm(&geno(), 32, 1);
         let (n, _) = m.shape();
         let v: Vec<f32> = (0..n).map(|i| ((i * 37 % 11) as f32) - 5.0).collect();
         let mut quad = 0.0f64;
@@ -297,20 +338,6 @@ mod tests {
     #[test]
     fn block_size_does_not_change_result() {
         let g = geno();
-        let a = compute_grm(
-            &g,
-            &GrmParams {
-                block: 1,
-                threads: 1,
-            },
-        );
-        let b = compute_grm(
-            &g,
-            &GrmParams {
-                block: 1000,
-                threads: 1,
-            },
-        );
-        assert!(a.max_abs_diff(&b) < 1e-6);
+        assert_eq!(bits(&grm(&g, 1, 1)), bits(&grm(&g, 1000, 1)));
     }
 }

@@ -115,8 +115,9 @@ pub fn mean_diagonal_excess(grm: &Matrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grm::{compute_grm, GrmParams};
+    use crate::grm::{compute_grm_probed, GrmParams};
     use gb_datagen::genotypes::GenotypeMatrix;
+    use gb_uarch::probe::NullProbe;
 
     #[test]
     fn classification_thresholds() {
@@ -137,7 +138,7 @@ mod tests {
     #[test]
     fn random_population_is_unrelated() {
         let geno = GenotypeMatrix::generate(60, 2500, 21);
-        let grm = compute_grm(&geno, &GrmParams::default());
+        let grm = compute_grm_probed(&geno, &GrmParams::default(), &mut NullProbe);
         let pairs = related_pairs(&grm, Relatedness::SecondDegree);
         assert!(
             pairs.is_empty(),
@@ -152,7 +153,6 @@ mod tests {
         // Plant a twin by duplicating one standardized genotype row, then
         // check the GRM scan flags exactly that pair.
         use crate::grm::{grm_from_z_probed, standardize};
-        use gb_uarch::probe::NullProbe;
         let geno = GenotypeMatrix::generate(30, 2000, 33);
         let z = standardize(&geno);
         let (n, s) = z.shape();
@@ -163,7 +163,7 @@ mod tests {
         let dup_src = 4usize;
         let row: Vec<f32> = z.row(dup_src).to_vec();
         z2.row_mut(n).copy_from_slice(&row);
-        let grm = grm_from_z_probed(&z2, 32, &mut NullProbe);
+        let grm = grm_from_z_probed(&z2, &GrmParams::default(), &mut NullProbe);
         let pairs = related_pairs(&grm, Relatedness::Duplicate);
         assert_eq!(pairs.len(), 1);
         assert_eq!((pairs[0].a, pairs[0].b), (dup_src, n));

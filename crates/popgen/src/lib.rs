@@ -8,9 +8,10 @@
 //!
 //! ```
 //! use gb_datagen::genotypes::GenotypeMatrix;
-//! use gb_popgen::grm::{compute_grm, GrmParams};
+//! use gb_popgen::grm::{compute_grm_probed, GrmParams};
+//! use gb_uarch::probe::NullProbe;
 //! let geno = GenotypeMatrix::generate(10, 50, 3);
-//! let g = compute_grm(&geno, &GrmParams::default());
+//! let g = compute_grm_probed(&geno, &GrmParams::default(), &mut NullProbe);
 //! assert_eq!(g.shape(), (10, 10));
 //! ```
 
@@ -20,4 +21,4 @@
 pub mod grm;
 pub mod kinship;
 
-pub use grm::{compute_grm, naive_grm, standardize, GrmParams};
+pub use grm::{compute_grm_probed, naive_grm, standardize, GrmParams};

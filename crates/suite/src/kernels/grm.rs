@@ -6,13 +6,9 @@ use crate::dataset::{seeds, DatasetSize};
 use gb_core::matrix::Matrix;
 use gb_datagen::genotypes::GenotypeMatrix;
 use gb_dp::DpEngine;
-use gb_popgen::grm::standardize;
+use gb_popgen::grm::{standardize, Stripe, STRIPE};
 use gb_uarch::probe::Probe;
 use std::sync::Arc;
-
-/// Rows per task stripe (tasks = output row blocks, the regular-compute
-/// parallel decomposition).
-const STRIPE: usize = 16;
 
 /// Deterministic build product of the grm prepare phase: the
 /// standardized genotype matrix.
@@ -59,30 +55,31 @@ impl KernelSpec for GrmKernel {
         GrmKernel { sub }
     }
 
+    /// Tasks are stripes of output rows, the regular-compute parallel
+    /// decomposition.
     fn num_tasks(&self) -> usize {
         self.sub.z.rows().div_ceil(STRIPE)
     }
 
     /// One stripe of output rows, blocked (j outer, stripe rows inner):
-    /// each zj row is streamed from memory once per stripe and reused
-    /// from L1 across the stripe's rows, the way PLINK's tiled product
-    /// behaves.
+    /// each zj row is streamed from memory once per stripe and meets all
+    /// of the stripe's rows at once ([`Stripe::dots`]), the way PLINK's
+    /// tiled product behaves.
     // PANIC-FREE: `i`/`j` stay below `n` and `k` below `s`, the matrix's
-    // own shape.
+    // own shape; `i - lo < STRIPE`.
     fn task<P: Probe>(&self, stripe: usize, probe: &mut P) -> TaskOut {
-        let (n, s) = self.sub.z.shape();
+        let z = &self.sub.z;
+        let (n, s) = z.shape();
         let lo = stripe * STRIPE;
         let hi = (lo + STRIPE).min(n);
         let inv_s = 1.0 / s as f32;
+        let rows = Stripe::new(z, lo..hi);
         let mut checksum = 0u64;
         for j in lo..n {
-            let zj = self.sub.z.row(j);
+            let zj = z.row(j);
+            let dots = rows.dots(zj);
             for i in lo..hi.min(j + 1) {
-                let zi = self.sub.z.row(i);
-                let mut dot = 0.0f32;
-                for k in 0..s {
-                    dot += zi[k] * zj[k];
-                }
+                let zi = z.row(i);
                 // One 8-lane FMA per chunk; zj streamed on the stripe's
                 // first row, zi rows resident and re-touched.
                 for k in (0..s).step_by(8) {
@@ -94,7 +91,7 @@ impl KernelSpec for GrmKernel {
                 }
                 probe.int_ops(2);
                 probe.branch(true);
-                checksum = checksum.wrapping_add((dot * inv_s * 1e3) as i64 as u64);
+                checksum = checksum.wrapping_add((dots[i - lo] * inv_s * 1e3) as i64 as u64);
             }
         }
         TaskOut {

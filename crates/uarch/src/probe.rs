@@ -136,6 +136,25 @@ pub fn addr_of<T>(r: &T) -> u64 {
     r as *const T as u64
 }
 
+/// Reports one read covering all of `xs`. An empty slice has no address
+/// and is no event.
+///
+/// # Examples
+///
+/// ```
+/// use gb_uarch::{mix::MixProbe, probe::load_slice};
+/// let mut p = MixProbe::new();
+/// load_slice(&mut p, &[1.0f32, 2.0]);
+/// load_slice(&mut p, &[0u8; 0]);
+/// assert_eq!(p.mix().loads, 1);
+/// ```
+#[inline(always)]
+pub fn load_slice<P: Probe, T>(probe: &mut P, xs: &[T]) {
+    if let Some(first) = xs.first() {
+        probe.load(addr_of(first), std::mem::size_of_val(xs) as u32);
+    }
+}
+
 /// Chains two probes so one instrumented run can feed several collectors.
 #[derive(Debug, Default)]
 pub struct Tee<A, B>(pub A, pub B);
